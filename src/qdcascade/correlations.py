@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .fitting import fit_model, poisson_weights
+from .streams import TimestampStream
 
 
 @dataclass
@@ -48,9 +49,11 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def _timestamps(stream_or_array):
-    ts = getattr(stream_or_array, "timestamps_ps", stream_or_array)
-    return np.asarray(ts)
+def _sorted_timestamps(stream_or_array):
+    """int64 timestamps in ascending order; a TimestampStream is sorted already."""
+    if isinstance(stream_or_array, TimestampStream):
+        return stream_or_array.timestamps_ps
+    return np.sort(np.asarray(stream_or_array).astype(np.int64))
 
 
 def cross_correlate(stream_a, stream_b, bin_width, max_delay):
@@ -62,8 +65,8 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     """
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
-    ta = np.sort(_timestamps(stream_a).astype(np.int64))
-    tb = np.sort(_timestamps(stream_b).astype(np.int64))
+    ta = _sorted_timestamps(stream_a)
+    tb = _sorted_timestamps(stream_b)
     n_bins = int(np.ceil(2.0 * max_delay / bin_width - 1e-9))
     origin = -float(max_delay)
     counts = np.zeros(n_bins, dtype=np.int64)

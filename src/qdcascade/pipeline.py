@@ -25,7 +25,7 @@ from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
 from .streams import export_stream, import_stream
 from .tomography import (ProjectionRecord, TomographyInput,
-                         bootstrap_uncertainty, mle_reconstruct,
+                         bootstrap_metrics, mle_reconstruct,
                          time_binned_tomography)
 from .version import __version__
 
@@ -175,14 +175,11 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         if tomo_cfg.bootstrap_samples >= 2:
             transform = lambda r: apply_correction(r, correction, arms)
             boot_seed = (config.simulation.seed or 0) + 7000 + k
-            fid_std = bootstrap_uncertainty(
-                tomo_input, tomo_cfg.bootstrap_samples, "fidelity", target=target,
-                seed=boot_seed, transform=transform,
-            ).std
-            conc_std = bootstrap_uncertainty(
-                tomo_input, tomo_cfg.bootstrap_samples, "concurrence",
-                seed=boot_seed, transform=transform,
-            ).std
+            boot = bootstrap_metrics(
+                tomo_input, tomo_cfg.bootstrap_samples, ("fidelity", "concurrence"),
+                target=target, seed=boot_seed, transform=transform,
+            )
+            fid_std, conc_std = boot["fidelity"].std, boot["concurrence"].std
         rel = f"bins/bin_{k:04d}.json"
         qio.dump_json(
             {

@@ -172,26 +172,46 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     d_xx = rng.exponential(config.tau_xx, m)
     d_x = rng.exponential(config.tau_x, m)
 
-    # joint outcome distribution over (ab, ab', a'b, a'b') at each delay
-    phases = np.exp(1j * config.fss * d_x / HBAR_UEV_PS)
+    # Running sums of the joint outcome distribution over (ab, ab', a'b, a'b')
+    # at each delay, built in place. With phi = fss*d_x/hbar and
+    # z = conj(c_hh)*c_vv, |c_hh + c_vv e^{i phi}|^2 is
+    # |c_hh|^2 + |c_vv|^2 + 2 Re(z) cos(phi) - 2 Im(z) sin(phi).
+    # For the H/V/D/A/R/L projections at most one of the two oscillating
+    # terms is nonzero, so cos and sin are computed only when some row uses them.
     a_perp, b_perp = _orthogonal_vector(a), _orthogonal_vector(b)
-    probs = np.empty((4, m))
-    for k, (va, vb) in enumerate(
-        ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp))
-    ):
+    rows = []
+    for va, vb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
         c_hh = np.conj(va[0] * vb[0]) / np.sqrt(2.0)
         c_vv = np.conj(va[1] * vb[1]) / np.sqrt(2.0)
-        probs[k] = np.abs(c_hh + c_vv * phases) ** 2
-    cum = np.cumsum(probs, axis=0)
+        z = np.conj(c_hh) * c_vv
+        rows.append((abs(c_hh) ** 2 + abs(c_vv) ** 2, 2.0 * z.real, -2.0 * z.imag))
+    phi = config.fss * d_x / HBAR_UEV_PS
+    cos_phi = np.cos(phi) if any(c for _, c, _ in rows) else None
+    sin_phi = np.sin(phi) if any(s for _, _, s in rows) else None
+    cum = np.empty((4, m))
+    term = np.empty(m)
+    for k, (const, c, s) in enumerate(rows):
+        row = cum[k]
+        row.fill(const)
+        if c:
+            row += np.multiply(cos_phi, c, out=term)
+        if s:
+            row += np.multiply(sin_phi, s, out=term)
+        if k:
+            row += cum[k - 1]
     u = rng.random(m) * cum[-1]
     outcome = (u >= cum[0]).astype(np.int8) + (u >= cum[1]) + (u >= cum[2])
 
+    # outcomes 0 and 1 pass the XX arm (a), outcomes 0 and 2 the X arm (b);
+    # both efficiency draws are made even when eff == 1, so the draws that
+    # follow do not depend on the efficiency
     eff = config.total_efficiency
-    xx_detected = np.isin(outcome, (0, 1)) & (rng.random(m) < eff)
-    x_detected = np.isin(outcome, (0, 2)) & (rng.random(m) < eff)
+    xx_detected = (outcome <= 1) & (rng.random(m) < eff)
+    x_detected = ((outcome & 1) == 0) & (rng.random(m) < eff)
 
-    xx_times = (pulse_t + d_xx)[xx_detected]
-    x_times = (pulse_t + d_xx + d_x)[x_detected]
+    xx_emit = pulse_t + d_xx
+    xx_times = xx_emit[xx_detected]
+    x_times = (xx_emit + d_x)[x_detected]
     xx_stream = _finalize(xx_times, _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
     x_stream = _finalize(x_times, _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
     return xx_stream, x_stream

@@ -167,10 +167,12 @@ def import_stream(path, fmt=None) -> TimestampStream:
     channels = np.array(channels, dtype=np.uint8)
     timestamps = np.array(timestamps, dtype=np.int64)
     origins = np.array(origins, dtype=np.uint8) if origins is not None else None
-    if len(timestamps) and np.any(np.diff(timestamps) < 0):
+    in_order = not np.any(np.diff(timestamps) < 0)
+    if not in_order:
         warnings.warn(f"{path}: timestamps not sorted; sorting on import")
     duration = float(timestamps.max() + 1) if len(timestamps) else 0.0
-    return TimestampStream(channels, timestamps, duration, origins=origins)
+    return TimestampStream(channels, timestamps, duration, origins=origins,
+                           _sorted=in_order)
 
 
 def _read_binary(path):

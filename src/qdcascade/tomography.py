@@ -304,8 +304,8 @@ def mle_reconstruct(input: TomographyInput, max_iter=5000, tol=1e-10, seed=None,
 
     history = []
 
-    def _record(tk):
-        history.append(_objective_and_grad(tk, psi_rows, counts, norms, likelihood)[0])
+    def _record(intermediate_result):
+        history.append(intermediate_result.fun)
 
     options = {"maxiter": max_iter, "gtol": tol, "ftol": 1e-12, "maxfun": 10 * max_iter}
     res = minimize(
@@ -420,22 +420,36 @@ def bootstrap_uncertainty(input: TomographyInput, n_resamples, metric, target=No
     (e.g. a local-unitary correction) is applied to each reconstructed
     matrix before the metric.
     """
+    return bootstrap_metrics(input, n_resamples, (metric,), target, seed, transform,
+                             **mle_options)[metric]
+
+
+def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
+                      seed=None, transform=None, **mle_options):
+    """``bootstrap_uncertainty`` for several metrics on one set of resamples.
+
+    Returns {metric: BootstrapResult}. Every metric is evaluated on the
+    same reconstructions, so each equals the single-metric bootstrap
+    with the same seed, at the cost of one MLE per resample.
+    """
     from . import quantum
 
     if n_resamples < 2:
         raise ValidationError("need at least 2 resamples")
-    if metric == "fidelity":
-        if target is None:
-            raise ValidationError("fidelity bootstrap needs a target state")
-        evaluate = lambda rho: quantum.fidelity(rho, target)
-    elif metric == "concurrence":
-        evaluate = lambda rho: quantum.concurrence(rho)
-    else:
-        raise ValidationError(f"unknown metric {metric!r}")
+    evaluators = {}
+    for metric in metrics:
+        if metric == "fidelity":
+            if target is None:
+                raise ValidationError("fidelity bootstrap needs a target state")
+            evaluators[metric] = lambda rho: quantum.fidelity(rho, target)
+        elif metric == "concurrence":
+            evaluators[metric] = quantum.concurrence
+        else:
+            raise ValidationError(f"unknown metric {metric!r}")
 
     rng = np.random.default_rng(seed)
     base_counts = np.array([r.counts for r in input.records], dtype=float)
-    values = []
+    values = {metric: [] for metric in evaluators}
     n_excluded = 0
     for _ in range(n_resamples):
         resampled = rng.poisson(base_counts).astype(float)
@@ -448,9 +462,13 @@ def bootstrap_uncertainty(input: TomographyInput, n_resamples, metric, target=No
             n_excluded += 1
             continue
         rho = result.rho if transform is None else transform(result.rho)
-        values.append(evaluate(rho))
-    if not values:
+        for metric, evaluate in evaluators.items():
+            values[metric].append(evaluate(rho))
+    if n_excluded == n_resamples:
         raise ComputationError("every bootstrap resample failed to converge")
-    arr = np.array(values)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return BootstrapResult(float(arr.mean()), std, n_excluded, tuple(values))
+    out = {}
+    for metric, vals in values.items():
+        arr = np.array(vals)
+        std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        out[metric] = BootstrapResult(float(arr.mean()), std, n_excluded, tuple(vals))
+    return out

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdcascade import (ComputationError, G2Result, Histogram, ValidationError,
-                       cross_correlate, g2_zero, rebin)
+from qdcascade import (ComputationError, G2Result, Histogram, TimestampStream,
+                       ValidationError, cross_correlate, g2_zero, rebin)
 from qdcascade.fitting import _lorentzian
 
 
@@ -44,6 +44,15 @@ class TestCrossCorrelate:
             md = float(rng.integers(2, 40) * bw)
             h = cross_correlate(ta, tb, bw, md)
             assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+
+    def test_streams_match_unsorted_arrays(self, rng):
+        ta = rng.integers(0, 100_000, 300)
+        tb = rng.integers(0, 100_000, 200)
+        sa = TimestampStream(np.zeros(len(ta)), ta, 100_000.0)
+        sb = TimestampStream(np.ones(len(tb)), tb, 100_000.0)
+        from_streams = cross_correlate(sa, sb, 250.0, 5000.0)
+        assert np.array_equal(from_streams.counts,
+                              brute_force_histogram(ta, tb, 250.0, 5000.0))
 
     def test_empty_stream_warns(self):
         with pytest.warns(UserWarning, match="empty"):

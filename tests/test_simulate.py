@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -162,6 +164,39 @@ class TestProjectionRun:
         spread_s = np.std(xx_s.timestamps_ps % sharp.rep_period_ps)
         spread_b = np.std(xx_b.timestamps_ps % blurred.rep_period_ps)
         assert spread_b > 2 * spread_s
+
+
+LOSSY = EmitterConfig(excitation_fraction=0.8, setup_efficiency=0.6,
+                      background_rate=2e5, jitter_sigma=30)
+ELLIPTICAL = (np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),
+              np.array([np.cos(1.1), np.exp(-0.4j) * np.sin(1.1)]))
+
+# SHA-256 over timestamps_ps then origins of (xx, x) from
+# simulate_projection_run(config, pair, 20_000, seed=11), recorded with the
+# sampler that evaluated |c_hh + c_vv exp(i phi)|^2 as complex numbers.
+# Of the closed form's oscillating terms HH uses neither, DA and RL only the
+# cosine, LD only the sine and ELLIPTICAL both.
+PINNED_DIGESTS = [
+    pytest.param(DEFAULTS, "HH", "88cc845ddfcce3377f893849862923828f2a084726d69baffdbc99537c1a54f8", id="default-HH"),
+    pytest.param(DEFAULTS, "DA", "7003a09f67146b45ac8a7af74a52f366cbef24ec901c616a1ad015a327ecca81", id="default-DA"),
+    pytest.param(DEFAULTS, "RL", "0a07c05f823430bf9d88974a32252eabc8ad50059c1fef6dcc9eb09075deaa0e", id="default-RL"),
+    pytest.param(DEFAULTS, "LD", "21748bca18fc8390b4e163287b927e1b9c6506ddec719b5c51a2d8b2b80f5731", id="default-LD"),
+    pytest.param(DEFAULTS, ELLIPTICAL, "996df900a07a2373eca4d9cfe3f7b9012569e927d6acab80f50c447bc6d53cde",
+                 id="default-elliptical"),
+    pytest.param(LOSSY, "HH", "f6e77daf9ecfe729dc56504e45ee981d30975b681c867a3ea61549321478c538", id="lossy-HH"),
+    pytest.param(LOSSY, "DA", "e9b67828c8834e8a6f89af376f53b505bfb9d8a65baab5c800dafb18e230cd11", id="lossy-DA"),
+    pytest.param(LOSSY, "RL", "90aa2de73b831fce6c8ffdfd742b36a346555f0da224cc6b104b046a8b5e465e", id="lossy-RL"),
+    pytest.param(LOSSY, "LD", "9a9149e49074087fa75ee251e5c090e95b87942171a627b54ae7d5128a7730fb", id="lossy-LD"),
+]
+
+
+@pytest.mark.parametrize("config,pair,digest", PINNED_DIGESTS)
+def test_projection_run_output_is_pinned(config, pair, digest):
+    h = hashlib.sha256()
+    for stream in simulate_projection_run(config, pair, 20_000, seed=11):
+        h.update(stream.timestamps_ps.tobytes())
+        h.update(stream.origins.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestAutocorrelationRun:

@@ -10,9 +10,11 @@ from qdcascade import (HBAR_UEV_PS, PHI_PLUS, ValidationError, concurrence,
                        time_evolved_state, trace_distance)
 from qdcascade.correlations import Histogram
 from qdcascade.polarization import projector_for, tomography_bases
+from qdcascade import tomography
 from qdcascade.tomography import (ProjectionRecord, TomographyInput,
                                   _objective_and_grad, _projection_states,
-                                  _t_from_rho, bootstrap_uncertainty,
+                                  _t_from_rho, bootstrap_metrics,
+                                  bootstrap_uncertainty,
                                   estimate_normalization, expected_probability,
                                   time_binned_tomography)
 
@@ -186,6 +188,30 @@ class TestMLE:
         assert len(history) >= 2
         assert np.all(np.diff(history) <= 1e-9 * np.maximum(1.0, history[:-1]))
 
+    def test_history_adds_no_objective_calls(self, rng, monkeypatch):
+        objective, real_minimize = tomography._objective_and_grad, tomography.minimize
+        n_calls = [0]
+        runs = []
+
+        def counting(*args):
+            n_calls[0] += 1
+            return objective(*args)
+
+        def recording(fun, x0, **kwargs):
+            runs.append((x0.copy(), kwargs))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tomography, "_objective_and_grad", counting)
+        monkeypatch.setattr(tomography, "minimize", recording)
+        res = mle_reconstruct(make_input(random_physical_rho(rng), 1e4, 36, rng=rng))
+
+        assert len(runs) == 1  # no numerical-gradient retry
+        x0, kwargs = runs[0]
+        kwargs = {k: v for k, v in kwargs.items() if k != "callback"}
+        plain = real_minimize(objective, x0, **kwargs)
+        assert n_calls[0] == plain.nfev
+        assert len(res.objective_history) == res.iterations
+
     def test_poisson_and_gaussian_agree_at_high_counts(self, rng):
         inp = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e6, 36, rng=rng)
         res_g = mle_reconstruct(inp, likelihood="gaussian")
@@ -317,6 +343,15 @@ class TestBootstrap:
         s_small = bootstrap_uncertainty(small, 12, "concurrence", seed=2).std
         # flux down x100 -> std up roughly x10
         assert 3.0 < s_small / s_big < 33.0
+
+    def test_metrics_share_resamples(self):
+        inp = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e4, 36)
+        both = bootstrap_metrics(inp, 3, ("fidelity", "concurrence"), target=PHI_PLUS,
+                                 seed=4, transform=lambda r: r.T)
+        for metric in ("fidelity", "concurrence"):
+            alone = bootstrap_uncertainty(inp, 3, metric, target=PHI_PLUS, seed=4,
+                                          transform=lambda r: r.T)
+            assert both[metric] == alone
 
     def test_validation(self):
         inp = make_input(density_of(PHI_PLUS), 1e4, 36)
