@@ -11,8 +11,8 @@ import argparse
 
 import numpy as np
 
-from qdcascade.fitting import (fss_from_peak_positions, fss_from_period,
-                               period_from_fss)
+from qdcascade.fitting import fss_from_peak_positions, fss_from_period
+from qdcascade.quantum import oscillation_period
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
     print(f"XX scan: splitting {fss_xx:.2f} +- {fit_xx.std_errors['fss']:.2f} ueV")
 
     avg = 0.5 * (fss_x + fss_xx)
-    period = period_from_fss(avg)
+    period = oscillation_period(avg)
     print(f"average {avg:.2f} ueV -> phase oscillation period {period:.0f} ps")
     print(f"round trip: {period:.0f} ps -> {fss_from_period(period):.3f} ueV")
 

@@ -7,22 +7,22 @@ from .constants import CONSTANTS, H_UEV_PS, HBAR_UEV_PS, PhysicalConstants
 from .errors import (CascadeError, ComputationError, FitError, ParseError,
                      ValidationError)
 from .quantum import (PHI_MINUS, PHI_PLUS, concurrence, density_of, fidelity,
-                      oscillation_period, project_physical, rho_from_json,
-                      rho_to_json, time_evolved_state, trace_distance)
+                      oscillation_period, project_physical, rho_from_dict,
+                      rho_to_dict, time_evolved_state, trace_distance)
 from .polarization import (BASIS_LABELS, CorrectionUnitary, WaveplateSetting,
                            apply_correction, correction_unitary, projector_for,
                            tomography_bases, waveplate_jones)
 from .tomography import (BootstrapResult, ProjectionRecord, ReconstructionResult,
-                         TomographyInput, bootstrap_uncertainty, linear_inversion,
+                         TomographyInput, bootstrap_metrics, linear_inversion,
                          mle_reconstruct, neg_log_likelihood, rho_from_t,
                          time_binned_tomography)
-from .simulate import (EmitterConfig, ideal_pair_probability,
-                       simulate_autocorrelation_run, simulate_projection_run)
-from .streams import PhotonEvent, TimestampStream, export_stream, import_stream
+from .simulate import (EmitterConfig, simulate_autocorrelation_run,
+                       simulate_projection_run)
+from .streams import TimestampStream, export_stream, import_stream
 from .correlations import G2Result, Histogram, cross_correlate, g2_zero, rebin
 from .fitting import (FirstLensRate, FitResult, RecaptureModel, first_lens_rate,
                       fit_model, fss_from_peak_positions, fss_from_period,
-                      period_from_fss, poisson_weights)
+                      poisson_weights)
 from .config import RunConfig, load_config
 
 __all__ = [
@@ -30,19 +30,17 @@ __all__ = [
     "CONSTANTS", "H_UEV_PS", "HBAR_UEV_PS", "PhysicalConstants",
     "CascadeError", "ComputationError", "FitError", "ParseError", "ValidationError",
     "PHI_MINUS", "PHI_PLUS", "concurrence", "density_of", "fidelity",
-    "oscillation_period", "project_physical", "rho_from_json", "rho_to_json",
+    "oscillation_period", "project_physical", "rho_from_dict", "rho_to_dict",
     "time_evolved_state", "trace_distance",
     "BASIS_LABELS", "CorrectionUnitary", "WaveplateSetting", "apply_correction",
     "correction_unitary", "projector_for", "tomography_bases", "waveplate_jones",
     "BootstrapResult", "ProjectionRecord", "ReconstructionResult", "TomographyInput",
-    "bootstrap_uncertainty", "linear_inversion", "mle_reconstruct",
+    "bootstrap_metrics", "linear_inversion", "mle_reconstruct",
     "neg_log_likelihood", "rho_from_t", "time_binned_tomography",
-    "EmitterConfig", "ideal_pair_probability", "simulate_autocorrelation_run",
-    "simulate_projection_run",
-    "PhotonEvent", "TimestampStream", "export_stream", "import_stream",
+    "EmitterConfig", "simulate_autocorrelation_run", "simulate_projection_run",
+    "TimestampStream", "export_stream", "import_stream",
     "G2Result", "Histogram", "cross_correlate", "g2_zero", "rebin",
     "FirstLensRate", "FitResult", "RecaptureModel", "first_lens_rate",
-    "fit_model", "fss_from_peak_positions", "fss_from_period",
-    "period_from_fss", "poisson_weights",
+    "fit_model", "fss_from_peak_positions", "fss_from_period", "poisson_weights",
     "RunConfig", "load_config",
 ]

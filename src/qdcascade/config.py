@@ -133,5 +133,11 @@ def load_config(path, overrides=None) -> RunConfig:
     data = apply_overrides(data, overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        data.setdefault("simulation", {})["seed"] = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
+            ) from None
+        data.setdefault("simulation", {})["seed"] = seed
     return RunConfig.from_dict(data)

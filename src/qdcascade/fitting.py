@@ -359,13 +359,6 @@ def fss_from_period(period):
     return H_UEV_PS / period
 
 
-def period_from_fss(fss):
-    """Phase-oscillation period (ps) of a given splitting (ueV)."""
-    if fss <= 0:
-        raise ValidationError("fss must be positive")
-    return H_UEV_PS / fss
-
-
 @dataclass
 class FirstLensRate:
     """Photon rate at the first lens inferred from detected counts."""

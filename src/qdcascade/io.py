@@ -156,7 +156,3 @@ def read_histogram_csv(path) -> Histogram:
 
 def fit_result_dict(fit: FitResult):
     return asdict(fit)
-
-
-def write_fit_result(fit: FitResult, path):
-    dump_json(fit_result_dict(fit), path)

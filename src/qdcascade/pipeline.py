@@ -24,9 +24,7 @@ from .polarization import CorrectionUnitary, apply_correction, tomography_bases
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
 from .streams import export_stream, import_stream
-from .tomography import (ProjectionRecord, TomographyInput,
-                         bootstrap_metrics, mle_reconstruct,
-                         time_binned_tomography)
+from .tomography import bootstrap_metrics, time_binned_tomography
 from .version import __version__
 
 _STREAM_EXT = {"binary": "ctts", "csv": "csv"}
@@ -116,8 +114,9 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
 
     Exactly one input source is used: a simulation manifest (streams are
     correlated into per-pair delay histograms), a binned-counts CSV, or
-    a single-set projection CSV. Writes report.json, per-bin density
-    matrices, and plot-ready CSV data; returns the report dict.
+    a single-set projection CSV (one bin over [0, max_delay_ps)). Writes
+    report.json, per-bin density matrices, and plot-ready CSV data;
+    returns the report dict.
     """
     sources = [s for s in (manifest, counts_csv, binned_csv) if s]
     if len(sources) != 1:
@@ -130,61 +129,51 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
     arms = tomo_cfg.correction.arms
     target = PHI_PLUS
 
-    extra_outputs = []
-    if manifest or binned_csv:
-        if manifest:
-            histograms = _histograms_from_manifest(manifest, config)
-            hist_dir = os.path.join(out_dir, "histograms")
-            os.makedirs(hist_dir, exist_ok=True)
-            for label in sorted(histograms):
-                rel = f"histograms/{label}.csv"
-                qio.write_histogram_csv(histograms[label], os.path.join(out_dir, rel))
-                extra_outputs.append(rel)
-        else:
-            histograms = qio.read_binned_csv(binned_csv)
-            n_pairs = len(histograms)
-            if n_pairs != tomo_cfg.basis_count:
-                raise ValidationError(
-                    f"binned counts have {n_pairs} pairs, config expects {tomo_cfg.basis_count}"
-                )
-        tomo = time_binned_tomography(histograms, min_counts=tomo_cfg.min_counts_per_bin)
-        bin_inputs = [
-            (b.bin_start, b.bin_width, b.total_counts, b.result, _bin_input(histograms, b))
-            for b in tomo.bins
-        ]
-        skipped = [
-            {"bin_start_ps": s.bin_start, "bin_width_ps": s.bin_width,
-             "total_counts": s.total_counts}
-            for s in tomo.skipped
-        ]
-    else:
-        tomo_input = qio.read_projection_csv(counts_csv)
-        if len(tomo_input.records) != tomo_cfg.basis_count:
-            raise ValidationError(
-                f"projection CSV has {len(tomo_input.records)} records, "
-                f"config expects {tomo_cfg.basis_count}"
-            )
-        result = mle_reconstruct(tomo_input)
-        bin_inputs = [(None, None, tomo_input.total_counts, result, tomo_input)]
-        skipped = []
+    weights, extra_outputs = {}, []
+    if manifest:
+        histograms = _histograms_from_manifest(manifest, config)
+        os.makedirs(os.path.join(out_dir, "histograms"), exist_ok=True)
+        for label in sorted(histograms):
+            rel = f"histograms/{label}.csv"
+            qio.write_histogram_csv(histograms[label], os.path.join(out_dir, rel))
+            extra_outputs.append(rel)
+    elif binned_csv:
+        histograms = qio.read_binned_csv(binned_csv)
+    else:  # a single projection set is one bin over [0, max_delay_ps)
+        records = qio.read_projection_csv(counts_csv).records
+        histograms = {r.basis_pair: Histogram(tomo_cfg.max_delay_ps, 0.0, np.array([r.counts]))
+                      for r in records}
+        weights = {r.basis_pair: r.acquisition_weight for r in records}
+    if len(histograms) != tomo_cfg.basis_count:
+        raise ValidationError(
+            f"input has {len(histograms)} basis pairs, config expects {tomo_cfg.basis_count}"
+        )
+    tomo = time_binned_tomography(histograms, min_counts=tomo_cfg.min_counts_per_bin,
+                                  weights=weights)
+    skipped = [
+        {"bin_start_ps": s.bin_start, "bin_width_ps": s.bin_width,
+         "total_counts": s.total_counts}
+        for s in tomo.skipped
+    ]
 
     bins = []
-    for k, (start, width, total, result, tomo_input) in enumerate(bin_inputs):
+    for k, b in enumerate(tomo.bins):
+        result = b.result
         rho, fid, conc = _bin_metrics(result, correction, arms, target)
         fid_std = conc_std = None
         if tomo_cfg.bootstrap_samples >= 2:
             transform = lambda r: apply_correction(r, correction, arms)
             boot_seed = (config.simulation.seed or 0) + 7000 + k
             boot = bootstrap_metrics(
-                tomo_input, tomo_cfg.bootstrap_samples, ("fidelity", "concurrence"),
+                b.input, tomo_cfg.bootstrap_samples, ("fidelity", "concurrence"),
                 target=target, seed=boot_seed, transform=transform,
             )
             fid_std, conc_std = boot["fidelity"].std, boot["concurrence"].std
         rel = f"bins/bin_{k:04d}.json"
         qio.dump_json(
             {
-                "bin_start_ps": start,
-                "bin_width_ps": width,
+                "bin_start_ps": b.bin_start,
+                "bin_width_ps": b.bin_width,
                 "rho": rho_to_dict(rho),
                 "fidelity": fid,
                 "concurrence": conc,
@@ -196,9 +185,9 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         )
         bins.append(
             {
-                "bin_start_ps": start,
-                "bin_width_ps": width,
-                "total_counts": total,
+                "bin_start_ps": b.bin_start,
+                "bin_width_ps": b.bin_width,
+                "total_counts": b.total_counts,
                 "fidelity": fid,
                 "concurrence": conc,
                 "fidelity_std": fid_std,
@@ -220,17 +209,6 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
     report = build_report(meta)
     _write_report_files(report, bins, out_dir)
     return report
-
-
-def _bin_input(histograms, bin_rec):
-    """Rebuild the TomographyInput of one reconstructed bin (for bootstrap)."""
-    pairs = sorted(histograms)
-    first = histograms[pairs[0]]
-    k = int(round((bin_rec.bin_start - first.origin) / first.bin_width))
-    records = tuple(
-        ProjectionRecord(p, float(histograms[p].counts[k])) for p in pairs
-    )
-    return TomographyInput(records, time_bin=(bin_rec.bin_start, bin_rec.bin_width))
 
 
 def build_report(meta):

@@ -2,9 +2,7 @@
 
 Single-photon polarization states are length-2 complex vectors
 (H amplitude, V amplitude). The six analyzer settings are labelled
-H, V, D, A, R, L; circular handedness follows R = (1, -i)/sqrt(2),
-selectable via ``circular_convention`` for cross-checks against tools
-using the opposite sign.
+H, V, D, A, R, L; circular handedness follows R = (1, -i)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -25,23 +23,20 @@ ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "R": "L", "L": "R"}
 MINIMAL_LABELS = ("H", "V", "D", "R")
 
 
-def projector_for(basis, circular_convention="minus_i"):
+def projector_for(basis):
     """Jones vector of one analyzer setting.
 
     H=(1,0), V=(0,1), D=(1,1)/sqrt2, A=(1,-1)/sqrt2, R=(1,-i)/sqrt2,
-    L=(1,i)/sqrt2. With circular_convention="plus_i" the R/L signs flip.
+    L=(1,i)/sqrt2.
     """
     s = 1.0 / np.sqrt(2.0)
-    circ = -1j if circular_convention == "minus_i" else 1j
-    if circular_convention not in ("minus_i", "plus_i"):
-        raise ValidationError(f"unknown circular convention {circular_convention!r}")
     table = {
         "H": np.array([1.0, 0.0], dtype=complex),
         "V": np.array([0.0, 1.0], dtype=complex),
         "D": np.array([s, s], dtype=complex),
         "A": np.array([s, -s], dtype=complex),
-        "R": np.array([s, s * circ], dtype=complex),
-        "L": np.array([s, -s * circ], dtype=complex),
+        "R": np.array([s, -1j * s], dtype=complex),
+        "L": np.array([s, 1j * s], dtype=complex),
     }
     try:
         return table[basis]
@@ -100,7 +95,7 @@ def analyzer_projection(setting):
     return qwp.conj().T @ hwp.conj().T @ h
 
 
-def tomography_bases(count, circular_convention="minus_i"):
+def tomography_bases(count):
     """Ordered projection pairs for a 16- or 36-setting tomography.
 
     36 enumerates {H,V,D,A,R,L}^2, 16 enumerates {H,V,D,R}^2; the outer
@@ -119,13 +114,7 @@ def tomography_bases(count, circular_convention="minus_i"):
     pairs = []
     for a in labels:
         for b in labels:
-            pairs.append(
-                (
-                    a + b,
-                    projector_for(a, circular_convention),
-                    projector_for(b, circular_convention),
-                )
-            )
+            pairs.append((a + b, projector_for(a), projector_for(b)))
     return pairs
 
 

@@ -16,8 +16,6 @@ the delay between the two photons of one cascade.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .constants import HBAR_UEV_PS, H_UEV_PS
@@ -175,17 +173,12 @@ def purity(rho):
     return float(np.real(np.trace(rho @ rho)))
 
 
-def rho_to_json(rho):
-    """Serialize a density matrix to a JSON string with re/im parts.
-
-    Row-major 4x4 arrays over the (HH, HV, VH, VV) basis; repr-precision
-    floats make the round trip bit-exact.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return json.dumps(rho_to_dict(rho))
-
-
 def rho_to_dict(rho):
+    """JSON-ready {"re": ..., "im": ...} form of a density matrix.
+
+    Row-major 4x4 lists over the (HH, HV, VH, VV) basis; json's
+    repr-precision floats make a round trip through text bit-exact.
+    """
     rho = np.asarray(rho, dtype=complex)
     return {"re": rho.real.tolist(), "im": rho.imag.tolist()}
 
@@ -199,8 +192,3 @@ def rho_from_dict(obj):
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ValidationError("density-matrix re/im must both be 4x4")
     return re + 1j * im
-
-
-def rho_from_json(text):
-    """Inverse of rho_to_json."""
-    return rho_from_dict(json.loads(text))

@@ -24,15 +24,13 @@ integer-picosecond timestamps.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_UEV_PS
 from .errors import ValidationError
 from .polarization import projector_for
-from .quantum import density_of, time_evolved_state
 from .streams import TimestampStream, _ORIGIN_CODE
 
 #: Detector channel ids used by the generators.
@@ -90,16 +88,6 @@ class EmitterConfig:
     def total_efficiency(self):
         return self.setup_efficiency * self.detector_efficiency
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            return cls(**json.loads(text))
-        except TypeError as exc:
-            raise ValidationError(f"bad emitter config: {exc}") from exc
-
 
 def _resolve_pair(pair):
     """Accept a two-letter label ("VV") or a pair of Jones vectors."""
@@ -113,17 +101,6 @@ def _resolve_pair(pair):
 
 def _orthogonal_vector(v):
     return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-
-def ideal_pair_probability(config: EmitterConfig, pair, delay):
-    """Born probability of a joint projection at a given XX-X delay."""
-    if delay < 0:
-        raise ValidationError("delay must be nonnegative")
-    a, b = _resolve_pair(pair)
-    rho = density_of(time_evolved_state(config.fss, delay))
-    psi = np.kron(a, b)
-    p = float(np.real(np.vdot(psi, rho @ psi)))
-    return min(1.0, max(0.0, p))
 
 
 def _background_times(rng, rate_cps, duration_ps):
@@ -147,7 +124,6 @@ def _finalize(times, origins_code, channel, duration_ps, config, rng):
         stamps,
         duration_ps,
         origins=origin,
-        config_snapshot=config,
     )
 
 

@@ -37,13 +37,6 @@ _ORIGIN_CODE = {ORIGIN_XX: 1, ORIGIN_X: 2, ORIGIN_BACKGROUND: 3}
 _CODE_ORIGIN = {v: k for k, v in _ORIGIN_CODE.items()}
 
 
-@dataclass(frozen=True)
-class PhotonEvent:
-    channel: int
-    timestamp_ps: int
-    origin: Optional[str] = None
-
-
 @dataclass
 class TimestampStream:
     """Time-ordered detection events over a run of given duration (ps)."""
@@ -52,7 +45,6 @@ class TimestampStream:
     timestamps_ps: np.ndarray
     duration_ps: float
     origins: Optional[np.ndarray] = None  # uint8 codes, None once stripped
-    config_snapshot: Optional[object] = None
     _sorted: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -80,35 +72,14 @@ class TimestampStream:
     def __len__(self):
         return len(self.timestamps_ps)
 
-    def __iter__(self):
-        for ev in self.events:
-            yield ev
-
-    @property
-    def events(self):
-        origins = (
-            [None] * len(self)
-            if self.origins is None
-            else [_CODE_ORIGIN.get(int(c)) for c in self.origins]
-        )
-        return [
-            PhotonEvent(int(c), int(t), o)
-            for c, t, o in zip(self.channels, self.timestamps_ps, origins)
-        ]
-
     def origin_labels(self):
         if self.origins is None:
             return None
         return np.array([_CODE_ORIGIN.get(int(c), "?") for c in self.origins])
 
-    def channel_timestamps(self, channel):
-        return self.timestamps_ps[self.channels == channel]
-
     def without_truth(self):
-        return TimestampStream(
-            self.channels, self.timestamps_ps, self.duration_ps,
-            origins=None, config_snapshot=self.config_snapshot, _sorted=True,
-        )
+        return TimestampStream(self.channels, self.timestamps_ps, self.duration_ps,
+                               origins=None, _sorted=True)
 
 
 _REC_V1 = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
@@ -218,6 +189,10 @@ def _read_csv(path):
             if data is not None:
                 if data.size == 0:
                     return [], [], None
+                bad = np.flatnonzero((data[:, 0] < 0) | (data[:, 0] > 255))
+                if bad.size:
+                    raise ParseError(f"{path}: channel {data[bad[0], 0]} outside 0-255",
+                                     record_index=int(bad[0]))
                 return data[:, 0], data[:, 1], None
         # slow path: per-record parsing with a precise error index
         fh.seek(0)
@@ -230,7 +205,10 @@ def _read_csv(path):
                 continue
             parts = line.split(",")
             try:
-                channels.append(int(parts[0]))
+                channel = int(parts[0])
+                if not 0 <= channel <= 255:
+                    raise ValueError(f"channel {channel} outside 0-255")
+                channels.append(channel)
                 timestamps.append(int(parts[1]))
                 if has_origin:
                     origins.append(_ORIGIN_CODE[parts[2]])

@@ -6,18 +6,16 @@ likelihood fit over a Cholesky-style parameterization that is physical
 by construction, so the returned matrix is always Hermitian, positive
 semidefinite and unit trace.
 
-The default objective is the Gaussian approximation to Poisson counting
+The objective is the Gaussian approximation to Poisson counting
 statistics,
 
     L(t) = sum_v (N_v p_v(t) - n_v)^2 / (2 N_v p_v(t)),
 
 with n_v the measured counts, N_v the per-projection normalization and
-p_v the Born probabilities of the candidate state. The exact Poisson
-log-likelihood is available behind ``likelihood="poisson"``; both agree
-on high-count data. Per-projection normalizations are estimated from
-sums over complete orthogonal basis quadruples, e.g.
-counts(HH)+counts(HV)+counts(VH)+counts(VV), scaled by each record's
-acquisition weight.
+p_v the Born probabilities of the candidate state. Per-projection
+normalizations are estimated from sums over complete orthogonal basis
+quadruples, e.g. counts(HH)+counts(HV)+counts(VH)+counts(VV), scaled by
+each record's acquisition weight.
 """
 
 from __future__ import annotations
@@ -37,6 +35,9 @@ from .quantum import project_physical, validate_density_matrix
 PROBABILITY_FLOOR = 1e-12
 
 _RIDGE = 1e-12
+
+#: L-BFGS-B stopping rules of every reconstruction.
+_LBFGS_OPTIONS = {"maxiter": 5000, "gtol": 1e-10, "ftol": 1e-12, "maxfun": 50000}
 
 # lower-triangle off-diagonal order: (row, col) pairs below the diagonal
 _OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
@@ -110,27 +111,25 @@ class BootstrapResult:
     values: tuple = field(default=(), repr=False)
 
 
-def _projection_states(records, circular_convention="minus_i"):
+def _projection_states(records):
     """Stacked two-photon projection states, one row per record."""
     rows = []
     for rec in records:
-        a = projector_for(rec.basis_pair[0], circular_convention)
-        b = projector_for(rec.basis_pair[1], circular_convention)
+        a = projector_for(rec.basis_pair[0])
+        b = projector_for(rec.basis_pair[1])
         rows.append(np.kron(a, b))
     return np.array(rows)
-
-
-def expected_probability(rho, pair):
-    """Born probability of a joint projection (jones_xx, jones_x) on rho."""
-    rho = validate_density_matrix(rho)
-    psi = np.kron(np.asarray(pair[0], dtype=complex), np.asarray(pair[1], dtype=complex))
-    p = float(np.real(np.vdot(psi, rho @ psi)))
-    return min(1.0, max(0.0, p))
 
 
 def _born_probabilities(rho, psi_rows):
     p = np.einsum("mi,ij,mj->m", psi_rows.conj(), rho, psi_rows).real
     return np.clip(p, 0.0, 1.0)
+
+
+def expected_probability(rho, pair):
+    """Born probability of a joint projection (jones_xx, jones_x) on rho."""
+    psi = np.kron(np.asarray(pair[0], dtype=complex), np.asarray(pair[1], dtype=complex))
+    return float(_born_probabilities(validate_density_matrix(rho), psi[None])[0])
 
 
 def estimate_normalization(input: TomographyInput):
@@ -160,7 +159,7 @@ def estimate_normalization(input: TomographyInput):
     return flux, flux * weights
 
 
-def linear_inversion(input: TomographyInput, circular_convention="minus_i"):
+def linear_inversion(input: TomographyInput):
     """Direct linear solve of counts -> density-matrix entries.
 
     Returns a Hermitian (symmetrized) 4x4 matrix that may have negative
@@ -173,7 +172,7 @@ def linear_inversion(input: TomographyInput, circular_convention="minus_i"):
     counts = np.array([r.counts for r in input.records], dtype=float)
     probs = counts / norms
 
-    psi_rows = _projection_states(input.records, circular_convention)
+    psi_rows = _projection_states(input.records)
     design = np.einsum("mi,mj->mij", psi_rows.conj(), psi_rows).reshape(len(psi_rows), 16)
     if np.linalg.matrix_rank(design) < 16:
         raise ValidationError("degenerate projection set: linear system is singular")
@@ -213,39 +212,29 @@ def rho_from_t(t):
     return tdt / norm
 
 
-def neg_log_likelihood(rho, input: TomographyInput, likelihood="gaussian",
-                       circular_convention="minus_i"):
+def neg_log_likelihood(rho, input: TomographyInput):
     """Objective value of a candidate density matrix against the counts."""
-    psi_rows = _projection_states(input.records, circular_convention)
+    psi_rows = _projection_states(input.records)
     counts = np.array([r.counts for r in input.records], dtype=float)
     _, norms = estimate_normalization(input)
     p = _born_probabilities(np.asarray(rho, dtype=complex), psi_rows)
-    return _nll_from_probs(p, counts, norms, likelihood)
+    return _nll_from_probs(p, counts, norms)
 
 
-def _nll_from_probs(p, counts, norms, likelihood):
+def _nll_from_probs(p, counts, norms):
     q = np.maximum(p, PROBABILITY_FLOOR)
-    if likelihood == "gaussian":
-        return float(np.sum((norms * p - counts) ** 2 / (2.0 * norms * q)))
-    if likelihood == "poisson":
-        return float(np.sum(norms * p - counts * np.log(norms * q)))
-    raise ValidationError(f"unknown likelihood {likelihood!r}")
+    return float(np.sum((norms * p - counts) ** 2 / (2.0 * norms * q)))
 
 
-def _nll_grad_p(p, counts, norms, likelihood):
+def _nll_grad_p(p, counts, norms):
     """dL/dp per projection, consistent with the floored objective."""
     q = np.maximum(p, PROBABILITY_FLOOR)
-    clamped = p < PROBABILITY_FLOOR
-    if likelihood == "gaussian":
-        g = norms / 2.0 - counts**2 / (2.0 * norms * q**2)
-        g_clamped = (norms * p - counts) / PROBABILITY_FLOOR
-    else:
-        g = norms - counts / q
-        g_clamped = np.broadcast_to(norms, p.shape)
-    return np.where(clamped, g_clamped, g)
+    g = norms / 2.0 - counts**2 / (2.0 * norms * q**2)
+    g_clamped = (norms * p - counts) / PROBABILITY_FLOOR
+    return np.where(p < PROBABILITY_FLOOR, g_clamped, g)
 
 
-def _objective_and_grad(t, psi_rows, counts, norms, likelihood):
+def _objective_and_grad(t, psi_rows, counts, norms):
     T = _t_to_matrix(t)
     tp = psi_rows @ T.T  # row v = (T psi_v)^T
     quad = np.einsum("mi,mi->m", tp.conj(), tp).real
@@ -254,8 +243,8 @@ def _objective_and_grad(t, psi_rows, counts, norms, likelihood):
         return 1e300, np.zeros(16)
     p = quad / s
 
-    val = _nll_from_probs(p, counts, norms, likelihood)
-    g_p = _nll_grad_p(p, counts, norms, likelihood)
+    val = _nll_from_probs(p, counts, norms)
+    g_p = _nll_grad_p(p, counts, norms)
 
     # W = sum_v g_v |psi_v><psi_v|;  grad_k = 2 Re tr(K E_k) with
     # K = (W/s - c I) T^+, c = sum_v g_v p_v / s, E_k the basis matrix of t_k.
@@ -271,8 +260,7 @@ def _objective_and_grad(t, psi_rows, counts, norms, likelihood):
     return val, grad
 
 
-def mle_reconstruct(input: TomographyInput, max_iter=5000, tol=1e-10, seed=None,
-                    likelihood="gaussian", circular_convention="minus_i"):
+def mle_reconstruct(input: TomographyInput):
     """Maximum-likelihood density matrix for one projection data set.
 
     Seeds a quasi-Newton (L-BFGS-B) minimization with the physical
@@ -282,56 +270,48 @@ def mle_reconstruct(input: TomographyInput, max_iter=5000, tol=1e-10, seed=None,
     are recorded and non-increasing. Returns the best matrix seen, so
     the result is never worse than the seed. ``converged`` is False only
     when the iteration budget is exhausted or the line search stalls
-    abnormally; ``seed`` jitters the fallback start used when the
-    Cholesky seeding itself fails.
+    abnormally.
     """
     if input.total_counts <= 0:
         raise ValidationError("total counts must be positive")
-    psi_rows = _projection_states(input.records, circular_convention)
+    psi_rows = _projection_states(input.records)
     counts = np.array([r.counts for r in input.records], dtype=float)
     _, norms = estimate_normalization(input)
 
-    rho_seed = project_physical(linear_inversion(input, circular_convention))
-    seed_nll = _nll_from_probs(
-        _born_probabilities(rho_seed, psi_rows), counts, norms, likelihood
-    )
+    rho_seed = project_physical(linear_inversion(input))
+    seed_nll = _nll_from_probs(_born_probabilities(rho_seed, psi_rows), counts, norms)
     try:
         t0 = _t_from_rho((1.0 - _RIDGE) * rho_seed + _RIDGE * np.eye(4) / 4.0)
     except np.linalg.LinAlgError:
         t0 = np.ones(16)
-        if seed is not None:
-            t0 += 1e-3 * np.random.default_rng(seed).standard_normal(16)
 
     history = []
 
     def _record(intermediate_result):
         history.append(intermediate_result.fun)
 
-    options = {"maxiter": max_iter, "gtol": tol, "ftol": 1e-12, "maxfun": 10 * max_iter}
     res = minimize(
         _objective_and_grad,
         t0,
-        args=(psi_rows, counts, norms, likelihood),
+        args=(psi_rows, counts, norms),
         method="L-BFGS-B",
         jac=True,
         callback=_record,
-        options=options,
+        options=_LBFGS_OPTIONS,
     )
     if res.status == 2:  # abnormal line search: retry on numerical gradients
         retry = minimize(
-            lambda tk: _objective_and_grad(tk, psi_rows, counts, norms, likelihood)[0],
+            lambda tk: _objective_and_grad(tk, psi_rows, counts, norms)[0],
             res.x,
             method="L-BFGS-B",
             callback=_record,
-            options=options,
+            options=_LBFGS_OPTIONS,
         )
         if retry.fun <= res.fun:
             res = retry
 
     rho_opt = rho_from_t(res.x)
-    opt_nll = _nll_from_probs(
-        _born_probabilities(rho_opt, psi_rows), counts, norms, likelihood
-    )
+    opt_nll = _nll_from_probs(_born_probabilities(rho_opt, psi_rows), counts, norms)
     if opt_nll <= seed_nll:
         rho, nll = rho_opt, opt_nll
     else:  # optimizer made no progress; keep the seed (best so far)
@@ -348,10 +328,13 @@ def mle_reconstruct(input: TomographyInput, max_iter=5000, tol=1e-10, seed=None,
 
 @dataclass
 class BinReconstruction:
+    """One reconstructed bin and the input its MLE saw (for bootstrap)."""
+
     bin_start: float
     bin_width: float
     total_counts: float
     result: ReconstructionResult
+    input: TomographyInput
 
 
 @dataclass
@@ -367,13 +350,14 @@ class TimeBinnedTomography:
     skipped: list
 
 
-def time_binned_tomography(histograms, min_counts=100, weights=None, **mle_options):
+def time_binned_tomography(histograms, min_counts=100, weights=None):
     """Reconstruct one density matrix per time bin.
 
     ``histograms`` maps each two-letter basis pair to a coincidence
     histogram (any object with ``origin``, ``bin_width`` and ``counts``);
     all histograms must share binning and time origin, and the pair set
-    must be a complete 16- or 36-projection set. Bins whose summed
+    must be a complete 16- or 36-projection set. ``weights`` maps basis
+    pairs to acquisition weights (1 when absent). Bins whose summed
     counts fall below ``min_counts`` are skipped and reported instead of
     reconstructed. Bins are independent; results are ordered by start
     time regardless of execution order.
@@ -405,32 +389,21 @@ def time_binned_tomography(histograms, min_counts=100, weights=None, **mle_optio
             for i, p in enumerate(pairs)
         ]
         tomo_input = TomographyInput(tuple(records), time_bin=(start, first.bin_width))
-        result = mle_reconstruct(tomo_input, **mle_options)
-        bins.append(BinReconstruction(start, first.bin_width, total, result))
+        result = mle_reconstruct(tomo_input)
+        bins.append(BinReconstruction(start, first.bin_width, total, result, tomo_input))
     return TimeBinnedTomography(bins=bins, skipped=skipped)
 
 
-def bootstrap_uncertainty(input: TomographyInput, n_resamples, metric, target=None,
-                          seed=None, transform=None, **mle_options):
-    """Poissonian bootstrap of fidelity or concurrence.
+def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
+                      seed=None, transform=None):
+    """Poissonian bootstrap of fidelity and/or concurrence.
 
     Each resample redraws every count as Poisson(n_v), reruns the MLE
-    and evaluates the metric; resamples that fail to converge are
-    excluded and counted. Deterministic for a fixed seed. ``transform``
-    (e.g. a local-unitary correction) is applied to each reconstructed
-    matrix before the metric.
-    """
-    return bootstrap_metrics(input, n_resamples, (metric,), target, seed, transform,
-                             **mle_options)[metric]
-
-
-def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
-                      seed=None, transform=None, **mle_options):
-    """``bootstrap_uncertainty`` for several metrics on one set of resamples.
-
-    Returns {metric: BootstrapResult}. Every metric is evaluated on the
-    same reconstructions, so each equals the single-metric bootstrap
-    with the same seed, at the cost of one MLE per resample.
+    and evaluates every metric on that one reconstruction; resamples
+    that fail to converge are excluded and counted. Deterministic for a
+    fixed seed. ``transform`` (e.g. a local-unitary correction) is
+    applied to each reconstructed matrix before the metrics. Returns
+    {metric: BootstrapResult}.
     """
     from . import quantum
 
@@ -457,7 +430,7 @@ def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
             ProjectionRecord(r.basis_pair, c, r.acquisition_weight)
             for r, c in zip(input.records, resampled)
         )
-        result = mle_reconstruct(TomographyInput(records, input.time_bin), **mle_options)
+        result = mle_reconstruct(TomographyInput(records, input.time_bin))
         if not result.converged:
             n_excluded += 1
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,12 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import make_input
-from qdcascade import PHI_PLUS, density_of, import_stream
+from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
+                       bootstrap_metrics, density_of, import_stream, time_evolved_state)
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
 from qdcascade.errors import ValidationError
-from qdcascade.io import write_histogram_csv, write_projection_csv
+from qdcascade.io import (read_projection_csv, write_binned_csv, write_histogram_csv,
+                          write_projection_csv)
 from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
+from qdcascade.polarization import tomography_bases
+from qdcascade.quantum import rho_from_dict
+from qdcascade.tomography import TomographyInput, expected_probability
 
 
 def write_config(tmp_path, n_pulses=20_000, seed=7, **tomo):
@@ -23,6 +29,36 @@ def write_config(tmp_path, n_pulses=20_000, seed=7, **tomo):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def binned_histograms(n_bins=5):
+    """Poisson counts of the cascade state in 100 ps bins, one histogram per pair."""
+    rng = np.random.default_rng(4)
+    hists = {}
+    for label, a, b in tomography_bases(36):
+        counts = [
+            rng.poisson(3e4 * expected_probability(
+                density_of(time_evolved_state(4.65, (k + 0.5) * 100.0)), (a, b)))
+            for k in range(n_bins)
+        ]
+        hists[label] = Histogram(100.0, 0.0, np.array(counts))
+    return hists
+
+
+#: tomo_meta.json of a single-set (--counts) run as written before single-set
+#: bins carried a time bin: bin_start_ps and bin_width_ps are null.
+NULL_BIN_META = {
+    "bins": [{
+        "bin_start_ps": None, "bin_width_ps": None, "total_counts": 209279.0,
+        "fidelity": 0.4000863078743362, "fidelity_std": 0.0009080526275768114,
+        "concurrence": 0.9999875026786891, "concurrence_std": 0.0007662941355315991,
+        "converged": True, "iterations": 79, "rho_file": "bins/bin_0000.json",
+    }],
+    "config": {"tomography": {"basis_count": 36, "max_delay_ps": 4000.0}},
+    "extra_outputs": [],
+    "skipped_bins": [],
+    "toolkit_version": "0.1.0",
+}
 
 
 class TestConfig:
@@ -124,23 +160,8 @@ class TestTomoCommand:
         assert on_disk == listed
 
     def test_binned_csv_input(self, tmp_path):
-        from qdcascade import Histogram
-        from qdcascade.io import write_binned_csv
-        from qdcascade.polarization import tomography_bases
-        from qdcascade.quantum import PHI_PLUS, density_of, time_evolved_state
-        from qdcascade.tomography import expected_probability
-
-        rng = np.random.default_rng(4)
-        hists = {}
-        for label, a, b in tomography_bases(36):
-            counts = [
-                rng.poisson(3e4 * expected_probability(
-                    density_of(time_evolved_state(4.65, (k + 0.5) * 100.0)), (a, b)))
-                for k in range(5)
-            ]
-            hists[label] = Histogram(100.0, 0.0, np.array(counts))
         csv = tmp_path / "binned.csv"
-        write_binned_csv(hists, csv)
+        write_binned_csv(binned_histograms(), csv)
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
         rc = main(["tomo", "--config", str(cfg_path), "--binned", str(csv)])
         assert rc == 0
@@ -159,6 +180,65 @@ class TestTomoCommand:
         assert len(report["bins"]) == 1
         assert report["bins"][0]["fidelity"] > 0.999
 
+    def test_counts_csv_bootstrap_matches_bootstrap_metrics(self, tmp_path):
+        weights = {label: 1.5 for label, _, _ in tomography_bases(36) if label[0] in "DR"}
+        inp = make_input(density_of(time_evolved_state(4.65, 250.0)), 2e4, 36,
+                         rng=np.random.default_rng(11), weights=weights)
+        # sorted basis order is the order every bin is reconstructed in
+        csv = tmp_path / "counts.csv"
+        write_projection_csv(
+            TomographyInput(sorted(inp.records, key=lambda r: r.basis_pair)), csv)
+        cfg_path = write_config(tmp_path, n_pulses=0, seed=None, bootstrap_samples=4)
+        assert main(["tomo", "--config", str(cfg_path), "--counts", str(csv)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (b,) = report["bins"]
+        assert (b["bin_start_ps"], b["bin_width_ps"]) == (0.0, 4000.0)
+        saved = json.loads((tmp_path / "out" / b["rho_file"]).read_text())
+
+        boot = bootstrap_metrics(
+            read_projection_csv(csv), 4, ("fidelity", "concurrence"), target=PHI_PLUS,
+            seed=7000, transform=lambda r: apply_correction(r, CorrectionUnitary(), "both"),
+        )
+        assert saved["fidelity_std"] == boot["fidelity"].std
+        assert saved["concurrence_std"] == boot["concurrence"].std
+
+    def test_counts_csv_respects_min_counts(self, tmp_path):
+        inp = make_input(density_of(PHI_PLUS), 1e3, 36)
+        csv = tmp_path / "counts.csv"
+        write_projection_csv(inp, csv)
+        cfg_path = write_config(tmp_path, n_pulses=0, seed=None,
+                                min_counts_per_bin=inp.total_counts + 1)
+        report = cmd_tomo(load_config(cfg_path), counts_csv=str(csv))
+        assert report["bins"] == []
+        assert report["skipped_bins"] == [
+            {"bin_start_ps": 0.0, "bin_width_ps": 4000.0, "total_counts": inp.total_counts}
+        ]
+
+    def test_binned_csv_bootstrap_is_deterministic(self, tmp_path):
+        csv = tmp_path / "binned.csv"
+        write_binned_csv(binned_histograms(3), csv)
+        cfg_path = write_config(tmp_path, n_pulses=0, seed=None, bootstrap_samples=3)
+        for out in ("a", "b"):
+            assert main(["tomo", "--config", str(cfg_path), "--binned", str(csv),
+                         "--out", str(tmp_path / out)]) == 0
+        first = (tmp_path / "a" / "report.json").read_bytes()
+        assert (tmp_path / "b" / "report.json").read_bytes() == first
+        assert all(b["fidelity_std"] is not None for b in json.loads(first)["bins"])
+
+    @pytest.mark.parametrize("n_pairs", [16, 35])
+    @pytest.mark.parametrize("source", ["--counts", "--binned"])
+    def test_wrong_pair_count_exits_1(self, tmp_path, capsys, source, n_pairs):
+        hists = dict(list(binned_histograms(2).items())[:n_pairs])
+        csv = tmp_path / "input.csv"
+        if source == "--counts":
+            csv.write_text("basis,counts,weight\n" + "".join(
+                f"{label},{h.counts[0]},1\n" for label, h in hists.items()))
+        else:
+            write_binned_csv(hists, csv)
+        cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
+        assert main(["tomo", "--config", str(cfg_path), source, str(csv)]) == 1
+        assert f"{n_pairs}" in capsys.readouterr().err
+
     def test_missing_pair_named(self, tmp_path):
         cfg_path = write_config(tmp_path, n_pulses=2000)
         config = load_config(cfg_path)
@@ -171,8 +251,6 @@ class TestTomoCommand:
             cmd_tomo(config, manifest=str(manifest_path))
 
     def test_nonzero_correction_rotates_reconstructions(self, tmp_path):
-        from qdcascade import CorrectionUnitary, apply_correction, rho_from_json
-
         cfg_path = write_config(tmp_path, n_pulses=25_000)
         config = load_config(cfg_path)
         cmd_simulate(config)
@@ -184,10 +262,10 @@ class TestTomoCommand:
                            out_dir=str(tmp_path / "rot"))
         c = CorrectionUnitary(0.3, -0.5)
         for b_raw, b_rot in zip(raw["bins"], rotated["bins"]):
-            rho_raw = rho_from_json(json.dumps(json.loads(
-                (tmp_path / "raw" / b_raw["rho_file"]).read_text())["rho"]))
-            rho_rot = rho_from_json(json.dumps(json.loads(
-                (tmp_path / "rot" / b_rot["rho_file"]).read_text())["rho"]))
+            rho_raw = rho_from_dict(json.loads(
+                (tmp_path / "raw" / b_raw["rho_file"]).read_text())["rho"])
+            rho_rot = rho_from_dict(json.loads(
+                (tmp_path / "rot" / b_rot["rho_file"]).read_text())["rho"])
             expected = apply_correction(rho_raw, c, "both")
             assert np.max(np.abs(rho_rot - expected)) < 1e-12
             # a local unitary moves fidelity but not concurrence
@@ -215,6 +293,19 @@ class TestTomoCommand:
         first = (tmp_path / "out" / "report.json").read_bytes()
         assert main(["report", "--dir", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+    def test_report_rebuilds_null_bin_meta(self, tmp_path):
+        (tmp_path / "tomo_meta.json").write_text(json.dumps(NULL_BIN_META))
+        report = cmd_report(str(tmp_path))
+        assert report["max_fidelity"]["bin_start_ps"] is None
+        # digests of the files this meta rebuilt into before the change
+        digests = {
+            "report.json": "23baa77ca47d4f42d6242635ba3ec6268cb807c4421faf0172d3386aa0c946f5",
+            "metrics_vs_time.csv":
+                "58feff6bb49315a1e349dc2062e10a4fda534e9bc1526be98499998671f45a59",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_requires_exactly_one_source(self, tmp_path):
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
@@ -281,8 +372,6 @@ class TestAnalyzeCommands:
         assert "16.67" in out["note"]
 
     def test_lifetime(self, tmp_path, capsys):
-        from qdcascade import Histogram
-
         x = np.arange(0, 12000, 50.0)
         counts = np.round(800 * np.exp(-x / 2060.0)).astype(int)
         path = tmp_path / "decay.csv"
@@ -333,11 +422,15 @@ class TestExitCodes:
         x = np.arange(-68750.0, 68750.0, 6250.0)
         counts = np.round(1000 * np.exp(-((x % 12500) / 3000.0) ** 2)).astype(int)
         path = tmp_path / "coarse.csv"
-        from qdcascade import Histogram
-
         write_histogram_csv(Histogram(6250.0, -68750.0, counts), path)
         rc = main(["analyze", "g2", "--histogram", str(path), "--rep-period", "12500"])
         assert rc == 2
+
+    def test_bad_seed_env_var_is_1(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, n_pulses=2000)
+        monkeypatch.setenv("CASCADE_TOMO_SEED", "abc")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "CASCADE_TOMO_SEED" in capsys.readouterr().err
 
     def test_success_is_0(self):
         assert main(["analyze", "fss-period", "890"]) == 0

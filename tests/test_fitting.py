@@ -3,7 +3,7 @@ import pytest
 
 from qdcascade import (ValidationError, first_lens_rate, fit_model,
                        fss_from_peak_positions, fss_from_period,
-                       period_from_fss, poisson_weights)
+                       oscillation_period, poisson_weights)
 from qdcascade.fitting import _MODELS
 
 
@@ -179,17 +179,17 @@ class TestUnitConversion:
         assert 4.62 <= fss_from_period(890.0) <= 4.67
 
     def test_reverse(self):
-        assert period_from_fss(4.6) == pytest.approx(899.058, abs=0.01)
+        assert oscillation_period(4.6) == pytest.approx(899.058, abs=0.01)
 
     def test_round_trip(self):
         for x in (100.0, 890.0, 12345.6):
-            assert period_from_fss(fss_from_period(x)) == pytest.approx(x, rel=1e-12)
+            assert oscillation_period(fss_from_period(x)) == pytest.approx(x, rel=1e-12)
 
     def test_positive_input_required(self):
         with pytest.raises(ValidationError):
             fss_from_period(0.0)
         with pytest.raises(ValidationError):
-            period_from_fss(-2.0)
+            oscillation_period(-2.0)
 
 
 class TestFirstLensRate:

@@ -42,12 +42,6 @@ class TestProjectors:
             overlap = abs(np.vdot(projector_for(a), projector_for(b))) ** 2
             assert overlap == pytest.approx(0.5, abs=1e-12)
 
-    def test_circular_convention_flip(self):
-        assert np.allclose(projector_for("R", "plus_i"), projector_for("L", "minus_i"))
-        assert np.allclose(projector_for("L", "plus_i"), projector_for("R", "minus_i"))
-        with pytest.raises(ValidationError):
-            projector_for("R", "sideways")
-
     def test_unknown_label(self):
         with pytest.raises(ValidationError):
             projector_for("Q")

@@ -1,0 +1,28 @@
+import os
+import runpy
+import sys
+
+import pytest
+
+import qdcascade
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+@pytest.mark.parametrize("script,args,expect", [
+    ("run_fss_scan.py", [], "phase oscillation period"),
+    ("run_cascade_pipeline.py", ["--pulses", "20000"], "peak fidelity"),
+    ("run_autocorrelation_study.py", ["--pulses", "150000"], "recapture fit"),
+], ids=["fss_scan", "cascade_pipeline", "autocorrelation_study"])
+def test_script_runs(script, args, expect, tmp_path, monkeypatch, capsys):
+    path = os.path.join(SCRIPTS, script)
+    if script == "run_cascade_pipeline.py":
+        args = args + ["--out", str(tmp_path / "pipeline")]
+    monkeypatch.setattr(sys, "argv", [path] + args)
+    runpy.run_path(path, run_name="__main__")
+    assert expect in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qdcascade.__all__ if not hasattr(qdcascade, name)]
+    assert missing == []

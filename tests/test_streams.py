@@ -24,10 +24,6 @@ class TestStreamType:
         assert list(s.timestamps_ps) == [5, 120, 999]
         assert s.origin_labels()[0] == "background"
 
-    def test_event_view(self):
-        ev = small_stream().events[0]
-        assert ev.timestamp_ps == 5 and ev.channel == 0 and ev.origin == "background"
-
     def test_validation(self):
         with pytest.raises(Exception):
             TimestampStream(np.array([0]), np.array([-5]), 10.0)
@@ -76,6 +72,17 @@ class TestImportEdgeCases:
         path = tmp_path / "bad.csv"
         path.write_text("channel,timestamp_ps\n0,100\n0,oops\n")
         with pytest.raises(ParseError) as err:
+            import_stream(path)
+        assert err.value.record_index == 1
+
+    @pytest.mark.parametrize("text", [
+        "channel,timestamp_ps\n0,100\n256,200\n",
+        "channel,timestamp_ps,origin\n0,100,XX\n256,200,X\n",
+    ], ids=["plain", "origin"])
+    def test_channel_outside_u8_reports_record(self, tmp_path, text):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="channel 256") as err:
             import_stream(path)
         assert err.value.record_index == 1
 

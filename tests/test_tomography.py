@@ -14,7 +14,6 @@ from qdcascade import tomography
 from qdcascade.tomography import (ProjectionRecord, TomographyInput,
                                   _objective_and_grad, _projection_states,
                                   _t_from_rho, bootstrap_metrics,
-                                  bootstrap_uncertainty,
                                   estimate_normalization, expected_probability,
                                   time_binned_tomography)
 
@@ -136,19 +135,18 @@ class TestTParameterization:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
-    def test_matches_finite_differences(self, rng, likelihood):
+    def test_matches_finite_differences(self, rng):
         inp = make_input(density_of(PHI_PLUS), 1e5, 36, rng=rng)
         psi = _projection_states(inp.records)
         counts = np.array([r.counts for r in inp.records])
         _, norms = estimate_normalization(inp)
         t = rng.standard_normal(16)
-        _, grad = _objective_and_grad(t, psi, counts, norms, likelihood)
+        _, grad = _objective_and_grad(t, psi, counts, norms)
         for k in range(16):
             e = np.zeros(16)
             e[k] = 1e-6
-            up, _ = _objective_and_grad(t + e, psi, counts, norms, likelihood)
-            dn, _ = _objective_and_grad(t - e, psi, counts, norms, likelihood)
+            up, _ = _objective_and_grad(t + e, psi, counts, norms)
+            dn, _ = _objective_and_grad(t - e, psi, counts, norms)
             numeric = (up - dn) / 2e-6
             assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
 
@@ -212,12 +210,6 @@ class TestMLE:
         assert n_calls[0] == plain.nfev
         assert len(res.objective_history) == res.iterations
 
-    def test_poisson_and_gaussian_agree_at_high_counts(self, rng):
-        inp = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e6, 36, rng=rng)
-        res_g = mle_reconstruct(inp, likelihood="gaussian")
-        res_p = mle_reconstruct(inp, likelihood="poisson")
-        assert trace_distance(res_g.rho, res_p.rho) < 0.01
-
     def test_deterministic(self, rng):
         inp = make_input(random_physical_rho(rng), 1e4, 36, rng=rng)
         a = mle_reconstruct(inp)
@@ -269,8 +261,20 @@ class TestTimeBinned:
             ProjectionRecord(label, float(hists[label].counts[0]))
             for label in sorted(hists)
         )
-        direct = mle_reconstruct(TomographyInput(records, time_bin=(0.0, 100.0)))
+        direct_input = TomographyInput(records, time_bin=(0.0, 100.0))
+        direct = mle_reconstruct(direct_input)
         assert np.array_equal(out.bins[0].result.rho, direct.rho)
+        assert out.bins[0].input == direct_input
+
+    def test_weights_reach_the_records(self):
+        hists = _histogram_set(lambda k: density_of(PHI_PLUS), 2, 1e4)
+        weights = {label: 2.0 for label in hists if label[0] == "D"}
+        out = time_binned_tomography(hists, weights=weights)
+        for b in out.bins:
+            assert {r.basis_pair: r.acquisition_weight for r in b.input.records} == {
+                label: weights.get(label, 1.0) for label in hists
+            }
+            assert np.array_equal(mle_reconstruct(b.input).rho, b.result.rho)
 
     def test_low_count_bins_skipped(self):
         def rho_of_bin(k):
@@ -322,42 +326,37 @@ class TestTimeBinned:
         assert np.argmax(fids1) == np.argmax(fids3)
 
 
+def _bootstrap(inp, n, metric, **kwargs):
+    return bootstrap_metrics(inp, n, (metric,), **kwargs)[metric]
+
+
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         inp = make_input(density_of(PHI_PLUS), 1e4, 36)
-        a = bootstrap_uncertainty(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
-        b = bootstrap_uncertainty(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
+        a = _bootstrap(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
+        b = _bootstrap(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
         assert a.values == b.values
         assert len(a.values) == 2
 
     def test_concentrates_at_high_counts(self):
         inp = make_input(density_of(PHI_PLUS), 1e6, 36)
-        out = bootstrap_uncertainty(inp, 10, "fidelity", target=PHI_PLUS, seed=1)
+        out = _bootstrap(inp, 10, "fidelity", target=PHI_PLUS, seed=1)
         assert out.std < 0.01
         assert out.mean > 0.99
 
     def test_poisson_scaling(self):
         big = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e6, 36)
         small = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e4, 36)
-        s_big = bootstrap_uncertainty(big, 12, "concurrence", seed=2).std
-        s_small = bootstrap_uncertainty(small, 12, "concurrence", seed=2).std
+        s_big = _bootstrap(big, 12, "concurrence", seed=2).std
+        s_small = _bootstrap(small, 12, "concurrence", seed=2).std
         # flux down x100 -> std up roughly x10
         assert 3.0 < s_small / s_big < 33.0
-
-    def test_metrics_share_resamples(self):
-        inp = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e4, 36)
-        both = bootstrap_metrics(inp, 3, ("fidelity", "concurrence"), target=PHI_PLUS,
-                                 seed=4, transform=lambda r: r.T)
-        for metric in ("fidelity", "concurrence"):
-            alone = bootstrap_uncertainty(inp, 3, metric, target=PHI_PLUS, seed=4,
-                                          transform=lambda r: r.T)
-            assert both[metric] == alone
 
     def test_validation(self):
         inp = make_input(density_of(PHI_PLUS), 1e4, 36)
         with pytest.raises(ValidationError):
-            bootstrap_uncertainty(inp, 1, "fidelity", target=PHI_PLUS)
+            _bootstrap(inp, 1, "fidelity", target=PHI_PLUS)
         with pytest.raises(ValidationError):
-            bootstrap_uncertainty(inp, 2, "fidelity")  # no target
+            _bootstrap(inp, 2, "fidelity")  # no target
         with pytest.raises(ValidationError):
-            bootstrap_uncertainty(inp, 2, "purity")
+            _bootstrap(inp, 2, "purity")
