@@ -41,10 +41,11 @@ def dump_json(obj, path, digits=None):
 
 
 def write_projection_csv(input: TomographyInput, path):
+    """Write `basis,counts,weight` rows; ``:.17g`` reads back bit for bit."""
     with open(path, "w") as fh:
         fh.write("basis,counts,weight\n")
         for rec in input.records:
-            fh.write(f"{rec.basis_pair},{rec.counts:g},{rec.acquisition_weight:g}\n")
+            fh.write(f"{rec.basis_pair},{rec.counts:.17g},{rec.acquisition_weight:.17g}\n")
 
 
 def read_projection_csv(path) -> TomographyInput:

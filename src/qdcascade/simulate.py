@@ -37,6 +37,9 @@ from .streams import TimestampStream, _ORIGIN_CODE
 CHANNEL_XX = 0
 CHANNEL_X = 1
 
+#: Pulses per block of the outcome computation in ``simulate_projection_run``.
+_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class EmitterConfig:
@@ -127,6 +130,54 @@ def _finalize(times, origins_code, channel, duration_ps, config, rng):
     )
 
 
+def _joint_outcomes(a, b, fss, d_x, u):
+    """Joint projection outcome of each pulse, as int8 in 0-3.
+
+    The outcomes index (ab, ab', a'b, a'b'); ``d_x`` holds each pulse's
+    XX-to-X delay and ``u`` its uniform draw, which is scaled in place.
+    """
+    # Running sums of the joint outcome distribution at each delay, built
+    # in place. With phi = fss*d_x/hbar and z = conj(c_hh)*c_vv,
+    # |c_hh + c_vv e^{i phi}|^2 is
+    # |c_hh|^2 + |c_vv|^2 + 2 Re(z) cos(phi) - 2 Im(z) sin(phi).
+    # For the H/V/D/A/R/L projections at most one of the two oscillating
+    # terms is nonzero, so cos and sin are computed only when some row uses them.
+    a_perp, b_perp = _orthogonal_vector(a), _orthogonal_vector(b)
+    rows = []
+    for va, vb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
+        c_hh = np.conj(va[0] * vb[0]) / np.sqrt(2.0)
+        c_vv = np.conj(va[1] * vb[1]) / np.sqrt(2.0)
+        z = np.conj(c_hh) * c_vv
+        rows.append((abs(c_hh) ** 2 + abs(c_vv) ** 2, 2.0 * z.real, -2.0 * z.imag))
+    use_cos = any(c for _, c, _ in rows)
+    use_sin = any(s for _, _, s in rows)
+    # Every step is elementwise, so working through the pulses in blocks
+    # gives the same bits as whole arrays while holding (4, _BLOCK) sums.
+    m = len(d_x)
+    outcome = np.empty(m, dtype=np.int8)
+    cum_buf = np.empty((4, min(m, _BLOCK)))
+    term_buf = np.empty(min(m, _BLOCK))
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        cum, term = cum_buf[:, :hi - lo], term_buf[:hi - lo]
+        phi = fss * d_x[lo:hi] / HBAR_UEV_PS
+        cos_phi = np.cos(phi) if use_cos else None
+        sin_phi = np.sin(phi) if use_sin else None
+        for k, (const, c, s) in enumerate(rows):
+            row = cum[k]
+            row.fill(const)
+            if c:
+                row += np.multiply(cos_phi, c, out=term)
+            if s:
+                row += np.multiply(sin_phi, s, out=term)
+            if k:
+                row += cum[k - 1]
+        u_blk = u[lo:hi]
+        u_blk *= cum[-1]
+        outcome[lo:hi] = (u_blk >= cum[0]).astype(np.int8) + (u_blk >= cum[1]) + (u_blk >= cum[2])
+    return outcome
+
+
 def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     """One polarization-projection acquisition.
 
@@ -144,39 +195,11 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
 
     excited = rng.random(n_pulses) < config.excitation_fraction
     pulse_t = np.nonzero(excited)[0] * period
+    del excited
     m = len(pulse_t)
     d_xx = rng.exponential(config.tau_xx, m)
     d_x = rng.exponential(config.tau_x, m)
-
-    # Running sums of the joint outcome distribution over (ab, ab', a'b, a'b')
-    # at each delay, built in place. With phi = fss*d_x/hbar and
-    # z = conj(c_hh)*c_vv, |c_hh + c_vv e^{i phi}|^2 is
-    # |c_hh|^2 + |c_vv|^2 + 2 Re(z) cos(phi) - 2 Im(z) sin(phi).
-    # For the H/V/D/A/R/L projections at most one of the two oscillating
-    # terms is nonzero, so cos and sin are computed only when some row uses them.
-    a_perp, b_perp = _orthogonal_vector(a), _orthogonal_vector(b)
-    rows = []
-    for va, vb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
-        c_hh = np.conj(va[0] * vb[0]) / np.sqrt(2.0)
-        c_vv = np.conj(va[1] * vb[1]) / np.sqrt(2.0)
-        z = np.conj(c_hh) * c_vv
-        rows.append((abs(c_hh) ** 2 + abs(c_vv) ** 2, 2.0 * z.real, -2.0 * z.imag))
-    phi = config.fss * d_x / HBAR_UEV_PS
-    cos_phi = np.cos(phi) if any(c for _, c, _ in rows) else None
-    sin_phi = np.sin(phi) if any(s for _, _, s in rows) else None
-    cum = np.empty((4, m))
-    term = np.empty(m)
-    for k, (const, c, s) in enumerate(rows):
-        row = cum[k]
-        row.fill(const)
-        if c:
-            row += np.multiply(cos_phi, c, out=term)
-        if s:
-            row += np.multiply(sin_phi, s, out=term)
-        if k:
-            row += cum[k - 1]
-    u = rng.random(m) * cum[-1]
-    outcome = (u >= cum[0]).astype(np.int8) + (u >= cum[1]) + (u >= cum[2])
+    outcome = _joint_outcomes(a, b, config.fss, d_x, rng.random(m))
 
     # outcomes 0 and 1 pass the XX arm (a), outcomes 0 and 2 the X arm (b);
     # both efficiency draws are made even when eff == 1, so the draws that
@@ -184,10 +207,16 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     eff = config.total_efficiency
     xx_detected = (outcome <= 1) & (rng.random(m) < eff)
     x_detected = ((outcome & 1) == 0) & (rng.random(m) < eff)
+    del outcome
 
-    xx_emit = pulse_t + d_xx
-    xx_times = xx_emit[xx_detected]
-    x_times = (xx_emit + d_x)[x_detected]
+    # pulse_t becomes the XX emission times, then the X emission times
+    pulse_t += d_xx
+    del d_xx
+    xx_times = pulse_t[xx_detected]
+    pulse_t += d_x
+    del d_x
+    x_times = pulse_t[x_detected]
+    del pulse_t, xx_detected, x_detected
     xx_stream = _finalize(xx_times, _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
     x_stream = _finalize(x_times, _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
     return xx_stream, x_stream

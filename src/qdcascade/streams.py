@@ -180,10 +180,14 @@ def _read_csv(path):
             raise ParseError(f"{path}: bad CSV header {header!r}")
         has_origin = len(cols) == 3 and cols[2] == "origin"
         if not has_origin:
+            # an empty file is fine; checked here because np.loadtxt warns on
+            # it, and warnings.catch_warnings is not safe across threads
+            body = fh.tell()
+            if not any(line.strip() for line in fh):
+                return [], [], None
+            fh.seek(body)
             try:  # fast path for well-formed numeric files
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # empty file is fine
-                    data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
             except ValueError:
                 data = None
             if data is not None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from conftest import make_input
 from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
                        bootstrap_metrics, density_of, import_stream, time_evolved_state)
+from qdcascade import pipeline
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
-from qdcascade.errors import ValidationError
+from qdcascade.errors import ParseError, ValidationError
 from qdcascade.io import (read_projection_csv, write_binned_csv, write_histogram_csv,
                           write_projection_csv)
 from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
@@ -354,6 +356,46 @@ class TestTomoCommand:
         fids = [b["fidelity"] for b in report["bins"]]
         assert len(fids) >= 20
         assert min(fids) >= 0.99
+
+
+def file_digests(root):
+    """SHA-256 of every file under ``root``, keyed by its relative path."""
+    digests = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+class TestWorkerPool:
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, n_pulses=20_000))
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            out = str(tmp_path / f"workers{workers}")
+            cmd_tomo(config, manifest=cmd_simulate(config, out), out_dir=out)
+            runs[workers] = file_digests(out)
+        assert runs[1] == runs[2]
+        paths = list(runs[1])
+        assert {"manifest.json", "report.json", "tomo_meta.json"} <= set(paths)
+        for folder, count in (("streams", 72), ("histograms", 36)):
+            assert sum(p.startswith(folder + os.sep) for p in paths) == count
+        assert any(p.startswith("bins" + os.sep) for p in paths)
+
+    def test_error_in_worker_reaches_caller(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        cfg_path = write_config(tmp_path, n_pulses=2000)
+        manifest = cmd_simulate(load_config(cfg_path))
+        entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"][20]
+        stream = tmp_path / "out" / entry["x_file"]
+        stream.write_bytes(stream.read_bytes()[:-5])
+        with pytest.raises(ParseError, match=re.escape(str(stream))):
+            cmd_tomo(load_config(cfg_path), manifest=manifest)
+        assert main(["tomo", "--config", str(cfg_path), "--manifest", manifest]) == 1
+        assert str(stream) in capsys.readouterr().err
 
 
 class TestAnalyzeCommands:

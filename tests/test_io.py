@@ -9,6 +9,7 @@ from qdcascade.io import (dump_json, read_binned_csv, read_histogram_csv,
                           read_projection_csv, round_floats, round_sig,
                           write_binned_csv, write_histogram_csv,
                           write_projection_csv)
+from qdcascade.tomography import ProjectionRecord, TomographyInput
 
 
 class TestRounding:
@@ -40,6 +41,19 @@ class TestProjectionCsv:
         back = read_projection_csv(path)
         assert [r.basis_pair for r in back.records] == [r.basis_pair for r in inp.records]
         assert [r.counts for r in back.records] == [r.counts for r in inp.records]
+
+    def test_round_trip_is_exact(self, tmp_path):
+        # six significant digits once turned 1,506,172 into 1,506,170
+        records = list(make_input(density_of(PHI_PLUS), 1e4, 16).records)
+        for k, (counts, weight) in enumerate([(1_506_172.0, 1.0), (37.0, 2.0 / 3.0),
+                                              (123_456_789_012.0, 0.1)]):
+            records[k] = ProjectionRecord(records[k].basis_pair, counts, weight)
+        path = tmp_path / "counts.csv"
+        write_projection_csv(TomographyInput(records), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[1:] == ["1506172", "1"]
+        assert lines[2].split(",")[1:] == ["37", "0.66666666666666663"]
+        assert read_projection_csv(path).records == tuple(records)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

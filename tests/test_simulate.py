@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,31 +178,72 @@ ELLIPTICAL = (np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),
               np.array([np.cos(1.1), np.exp(-0.4j) * np.sin(1.1)]))
 
 # SHA-256 over timestamps_ps then origins of (xx, x) from
-# simulate_projection_run(config, pair, 20_000, seed=11), recorded with the
-# sampler that evaluated |c_hh + c_vv exp(i phi)|^2 as complex numbers.
-# Of the closed form's oscillating terms HH uses neither, DA and RL only the
-# cosine, LD only the sine and ELLIPTICAL both.
+# simulate_projection_run(config, pair, n_pulses, seed=11), recorded with the
+# sampler that evaluated |c_hh + c_vv exp(i phi)|^2 as complex numbers (20,000
+# pulses) and with the one that summed the closed form over whole arrays
+# (150,000 pulses). Of the closed form's oscillating terms HH uses neither,
+# DA and RL only the cosine, LD only the sine and ELLIPTICAL both. The
+# simulator works through the pulses in blocks of 65,536, so the 150,000-pulse
+# runs cross block boundaries and end in a partial block.
 PINNED_DIGESTS = [
-    pytest.param(DEFAULTS, "HH", "88cc845ddfcce3377f893849862923828f2a084726d69baffdbc99537c1a54f8", id="default-HH"),
-    pytest.param(DEFAULTS, "DA", "7003a09f67146b45ac8a7af74a52f366cbef24ec901c616a1ad015a327ecca81", id="default-DA"),
-    pytest.param(DEFAULTS, "RL", "0a07c05f823430bf9d88974a32252eabc8ad50059c1fef6dcc9eb09075deaa0e", id="default-RL"),
-    pytest.param(DEFAULTS, "LD", "21748bca18fc8390b4e163287b927e1b9c6506ddec719b5c51a2d8b2b80f5731", id="default-LD"),
-    pytest.param(DEFAULTS, ELLIPTICAL, "996df900a07a2373eca4d9cfe3f7b9012569e927d6acab80f50c447bc6d53cde",
+    pytest.param(DEFAULTS, "HH", 20_000, "88cc845ddfcce3377f893849862923828f2a084726d69baffdbc99537c1a54f8",
+                 id="default-HH"),
+    pytest.param(DEFAULTS, "DA", 20_000, "7003a09f67146b45ac8a7af74a52f366cbef24ec901c616a1ad015a327ecca81",
+                 id="default-DA"),
+    pytest.param(DEFAULTS, "RL", 20_000, "0a07c05f823430bf9d88974a32252eabc8ad50059c1fef6dcc9eb09075deaa0e",
+                 id="default-RL"),
+    pytest.param(DEFAULTS, "LD", 20_000, "21748bca18fc8390b4e163287b927e1b9c6506ddec719b5c51a2d8b2b80f5731",
+                 id="default-LD"),
+    pytest.param(DEFAULTS, ELLIPTICAL, 20_000, "996df900a07a2373eca4d9cfe3f7b9012569e927d6acab80f50c447bc6d53cde",
                  id="default-elliptical"),
-    pytest.param(LOSSY, "HH", "f6e77daf9ecfe729dc56504e45ee981d30975b681c867a3ea61549321478c538", id="lossy-HH"),
-    pytest.param(LOSSY, "DA", "e9b67828c8834e8a6f89af376f53b505bfb9d8a65baab5c800dafb18e230cd11", id="lossy-DA"),
-    pytest.param(LOSSY, "RL", "90aa2de73b831fce6c8ffdfd742b36a346555f0da224cc6b104b046a8b5e465e", id="lossy-RL"),
-    pytest.param(LOSSY, "LD", "9a9149e49074087fa75ee251e5c090e95b87942171a627b54ae7d5128a7730fb", id="lossy-LD"),
+    pytest.param(LOSSY, "HH", 20_000, "f6e77daf9ecfe729dc56504e45ee981d30975b681c867a3ea61549321478c538",
+                 id="lossy-HH"),
+    pytest.param(LOSSY, "DA", 20_000, "e9b67828c8834e8a6f89af376f53b505bfb9d8a65baab5c800dafb18e230cd11",
+                 id="lossy-DA"),
+    pytest.param(LOSSY, "RL", 20_000, "90aa2de73b831fce6c8ffdfd742b36a346555f0da224cc6b104b046a8b5e465e",
+                 id="lossy-RL"),
+    pytest.param(LOSSY, "LD", 20_000, "9a9149e49074087fa75ee251e5c090e95b87942171a627b54ae7d5128a7730fb",
+                 id="lossy-LD"),
+    pytest.param(DEFAULTS, "HH", 150_000, "160044945c5aa027b2f4c24a98fce271a78a2bb25321fefd3ba0ec912b9f394d",
+                 id="default-HH-150k"),
+    pytest.param(DEFAULTS, "DA", 150_000, "a1b91ccce7fb43ad1891b62aa45c0549c9ac9b5e008eb5afc0898c4c2c7950f6",
+                 id="default-DA-150k"),
+    pytest.param(DEFAULTS, "RL", 150_000, "49101212d33e1686a5672d90e87f6d23173c2cb168f886455a2e6df867a7a9b5",
+                 id="default-RL-150k"),
+    pytest.param(DEFAULTS, "LD", 150_000, "3a8074223d28e2d20e513430e282f2de9f6a2e9d668fe526bdf9fa061b7d757e",
+                 id="default-LD-150k"),
+    pytest.param(DEFAULTS, ELLIPTICAL, 150_000, "ee286946f45a5f5f37f9be6743f0189f0396e47094a70c5bc20de039c40dd224",
+                 id="default-elliptical-150k"),
+    pytest.param(LOSSY, "HH", 150_000, "2ea8e6803068c020d9e565ecbc3964a6e9967a9f12ccc18e95aa083b88616d73",
+                 id="lossy-HH-150k"),
+    pytest.param(LOSSY, "DA", 150_000, "304875f6aeb5178a94428d0c1175fc1f0d11435b3e1fc3761e06f012d3366932",
+                 id="lossy-DA-150k"),
+    pytest.param(LOSSY, "RL", 150_000, "0862d78a574e5070eaca4ca23c16085bfaf036037ca595ef9dd8ad1b5e31ec35",
+                 id="lossy-RL-150k"),
+    pytest.param(LOSSY, "LD", 150_000, "12bce017d1c13c92c14343efac3f38f7b5b6e575f5be906ba3e96571d08d41c3",
+                 id="lossy-LD-150k"),
 ]
 
 
-@pytest.mark.parametrize("config,pair,digest", PINNED_DIGESTS)
-def test_projection_run_output_is_pinned(config, pair, digest):
+@pytest.mark.parametrize("config,pair,n_pulses,digest", PINNED_DIGESTS)
+def test_projection_run_output_is_pinned(config, pair, n_pulses, digest):
     h = hashlib.sha256()
-    for stream in simulate_projection_run(config, pair, 20_000, seed=11):
+    for stream in simulate_projection_run(config, pair, n_pulses, seed=11):
         h.update(stream.timestamps_ps.tobytes())
         h.update(stream.origins.tobytes())
     assert h.hexdigest() == digest
+
+
+def test_projection_run_peak_memory():
+    # the closed loop runs several of these at once, so their peak sets its
+    # memory; whole-array outcome sums peaked near 130 MB
+    tracemalloc.start()
+    try:
+        simulate_projection_run(DEFAULTS, ELLIPTICAL, 1_000_000, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 class TestAutocorrelationRun:

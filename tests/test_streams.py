@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,24 @@ class TestImportEdgeCases:
         with pytest.warns(UserWarning, match="not sorted"):
             back = import_stream(path)
         assert list(back.timestamps_ps) == [100, 300, 500]
+
+    def test_concurrent_csv_imports_keep_warning_filters(self, tmp_path):
+        # the pipeline imports streams on several threads, where a
+        # warnings.catch_warnings per call could leave its filter installed
+        paths = []
+        for k, body in enumerate(("", "0,5\n1,9\n")):
+            paths.append(tmp_path / f"s{k}.csv")
+            paths[-1].write_text("channel,timestamp_ps\n" + body)
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                sizes = list(pool.map(lambda p: len(import_stream(p)), paths * 200))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [0, 2] * 200
+        assert warnings.filters == before
 
     def test_malformed_csv_reports_record(self, tmp_path):
         path = tmp_path / "bad.csv"
