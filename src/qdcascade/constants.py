@@ -7,7 +7,6 @@ periods of order a nanosecond, which keeps every quantity in a
 float-friendly range.
 """
 
-from dataclasses import dataclass
 import math
 
 #: Reduced Planck constant in ueV*ps.
@@ -16,17 +15,3 @@ HBAR_UEV_PS = 658.2119569
 #: Planck constant in ueV*ps (2*pi*hbar).
 H_UEV_PS = 2.0 * math.pi * HBAR_UEV_PS
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar and h in ueV*ps; h must equal 2*pi*hbar."""
-
-    hbar: float = HBAR_UEV_PS
-    h: float = H_UEV_PS
-
-    def __post_init__(self):
-        if abs(self.h - 2.0 * math.pi * self.hbar) > 1e-9 * abs(self.h):
-            raise ValueError("h must equal 2*pi*hbar")
-
-
-CONSTANTS = PhysicalConstants()

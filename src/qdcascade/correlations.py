@@ -100,16 +100,6 @@ def _ranges(sizes):
     return np.cumsum(out)
 
 
-def rebin(hist: Histogram, factor: int):
-    """Merge groups of ``factor`` adjacent bins; totals are preserved."""
-    if factor < 1 or len(hist.counts) % factor:
-        raise ValidationError(
-            f"bin count {len(hist.counts)} not divisible by factor {factor}"
-        )
-    merged = hist.counts.reshape(-1, factor).sum(axis=1)
-    return Histogram(hist.bin_width * factor, hist.origin, merged)
-
-
 @dataclass
 class G2Result:
     """Zero-delay suppression plus the window geometry used to get it."""

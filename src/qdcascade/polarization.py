@@ -62,39 +62,6 @@ def waveplate_jones(retardance, fast_axis):
     return r @ core @ r.T
 
 
-@dataclass(frozen=True)
-class WaveplateSetting:
-    """QWP/HWP fast-axis angles (radians, stored in [0, pi))."""
-
-    qwp_angle: float
-    hwp_angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "qwp_angle", float(self.qwp_angle) % np.pi)
-        object.__setattr__(self, "hwp_angle", float(self.hwp_angle) % np.pi)
-
-
-#: Analyzer angles realizing each projection with a QWP, then an HWP,
-#: then an H-transmitting polarizer. Documentation/simulation realism
-#: only; the math path uses projector_for directly.
-WAVEPLATE_SETTINGS = {
-    "H": WaveplateSetting(0.0, 0.0),
-    "V": WaveplateSetting(0.0, np.pi / 4),
-    "D": WaveplateSetting(np.pi / 4, np.pi / 8),
-    "A": WaveplateSetting(np.pi / 4, 3 * np.pi / 8),
-    "R": WaveplateSetting(np.pi / 4, 0.0),
-    "L": WaveplateSetting(np.pi / 4, np.pi / 4),
-}
-
-
-def analyzer_projection(setting):
-    """Projection state passed by (QWP, HWP, H-polarizer) at the given angles."""
-    qwp = waveplate_jones(np.pi / 2, setting.qwp_angle)
-    hwp = waveplate_jones(np.pi, setting.hwp_angle)
-    h = np.array([1.0, 0.0], dtype=complex)
-    return qwp.conj().T @ hwp.conj().T @ h
-
-
 def tomography_bases(count):
     """Ordered projection pairs for a 16- or 36-setting tomography.
 

@@ -167,12 +167,6 @@ def trace_distance(rho, sigma):
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 
-def purity(rho):
-    """tr(rho^2)."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
-
-
 def rho_to_dict(rho):
     """JSON-ready {"re": ..., "im": ...} form of a density matrix.
 

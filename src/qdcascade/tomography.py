@@ -2,9 +2,10 @@
 
 The pipeline is the classic one for polarization tomography: a linear
 (Stokes-style) inversion of the normalized counts seeds a maximum-
-likelihood fit over a Cholesky-style parameterization that is physical
-by construction, so the returned matrix is always Hermitian, positive
-semidefinite and unit trace.
+likelihood fit over the Cholesky parameterization of James et al.,
+PRA 64, 052312 (2001), rho = T^+T / tr(T^+T) with T lower triangular
+and 16 real parameters t, so the returned matrix is always Hermitian,
+positive semidefinite and unit trace.
 
 The objective is the Gaussian approximation to Poisson counting
 statistics,
@@ -16,15 +17,21 @@ p_v the Born probabilities of the candidate state. Per-projection
 normalizations are estimated from sums over complete orthogonal basis
 quadruples, e.g. counts(HH)+counts(HV)+counts(VH)+counts(VV), scaled by
 each record's acquisition weight.
+
+T is linear in t, so every Born probability is a ratio of real
+quadratic forms, p_v = t.M_v.t / t.t, and L has a closed-form gradient
+and Hessian. The forms depend only on the basis-pair order and are
+built once per order. The fit is a damped Newton solve on them; see
+``mle_reconstruct`` for its stopping rules.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ComputationError, ValidationError
 from .polarization import ORTHOGONAL, projector_for
@@ -36,11 +43,26 @@ PROBABILITY_FLOOR = 1e-12
 
 _RIDGE = 1e-12
 
-#: L-BFGS-B stopping rules of every reconstruction.
-_LBFGS_OPTIONS = {"maxiter": 5000, "gtol": 1e-10, "ftol": 1e-12, "maxfun": 50000}
+#: Damped Newton steps one reconstruction may try before it reports
+#: ``converged=False``. The closed-loop bins need at most a few hundred.
+_MAX_ITERATIONS = 1000
 
 # lower-triangle off-diagonal order: (row, col) pairs below the diagonal
 _OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+
+
+def _cholesky_basis():
+    """E_k with T = sum_k t_k E_k: real diagonal, then (re, im) per off-diagonal."""
+    basis = np.zeros((16, 4, 4), dtype=complex)
+    for k in range(4):
+        basis[k, k, k] = 1.0
+    for k, (i, j) in enumerate(_OFFDIAG):
+        basis[4 + 2 * k, i, j] = 1.0
+        basis[5 + 2 * k, i, j] = 1j
+    return basis
+
+
+_BASIS = _cholesky_basis()
 
 
 @dataclass(frozen=True)
@@ -92,13 +114,12 @@ class TomographyInput:
 
 @dataclass
 class ReconstructionResult:
-    """Physical density matrix plus optimizer diagnostics."""
+    """Physical density matrix plus solver diagnostics."""
 
     rho: np.ndarray
     neg_log_likelihood: float
     iterations: int
     converged: bool
-    objective_history: tuple = field(default=(), repr=False)
 
 
 @dataclass
@@ -111,14 +132,35 @@ class BootstrapResult:
     values: tuple = field(default=(), repr=False)
 
 
-def _projection_states(records):
-    """Stacked two-photon projection states, one row per record."""
-    rows = []
-    for rec in records:
-        a = projector_for(rec.basis_pair[0])
-        b = projector_for(rec.basis_pair[1])
-        rows.append(np.kron(a, b))
-    return np.array(rows)
+@dataclass(frozen=True)
+class _ProjectionSetup:
+    """What a reconstruction needs of one basis-pair order (read-only arrays).
+
+    ``psi_rows`` are the two-photon projection states, ``design`` the
+    linear-inversion matrix (row v = vec |psi_v><psi_v|^*) and ``forms``
+    the real symmetric M_v with t.M_v.t = |T psi_v|^2.
+    """
+
+    psi_rows: np.ndarray
+    design: np.ndarray
+    full_rank: bool
+    forms: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _projection_setup(pairs):
+    psi_rows = np.array([np.kron(projector_for(a), projector_for(b)) for a, b in pairs])
+    design = np.einsum("mi,mj->mij", psi_rows.conj(), psi_rows).reshape(len(pairs), 16)
+    full_rank = bool(np.linalg.matrix_rank(design) == 16)
+    cols = np.einsum("kij,mj->mik", _BASIS, psi_rows)  # T psi_v = cols[v] @ t
+    forms = np.einsum("mik,mil->mkl", cols.conj(), cols).real
+    for arr in (psi_rows, design, forms):
+        arr.setflags(write=False)
+    return _ProjectionSetup(psi_rows, design, full_rank, forms)
+
+
+def _setup_of(input):
+    return _projection_setup(tuple(r.basis_pair for r in input.records))
 
 
 def _born_probabilities(rho, psi_rows):
@@ -172,21 +214,12 @@ def linear_inversion(input: TomographyInput):
     counts = np.array([r.counts for r in input.records], dtype=float)
     probs = counts / norms
 
-    psi_rows = _projection_states(input.records)
-    design = np.einsum("mi,mj->mij", psi_rows.conj(), psi_rows).reshape(len(psi_rows), 16)
-    if np.linalg.matrix_rank(design) < 16:
+    setup = _setup_of(input)
+    if not setup.full_rank:
         raise ValidationError("degenerate projection set: linear system is singular")
-    x, *_ = np.linalg.lstsq(design, probs.astype(complex), rcond=None)
+    x, *_ = np.linalg.lstsq(setup.design, probs.astype(complex), rcond=None)
     rho = x.reshape(4, 4)
     return 0.5 * (rho + rho.conj().T)
-
-
-def _t_to_matrix(t):
-    T = np.zeros((4, 4), dtype=complex)
-    T[np.diag_indices(4)] = t[:4]
-    for k, (i, j) in enumerate(_OFFDIAG):
-        T[i, j] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return T
 
 
 def _t_from_rho(rho):
@@ -194,17 +227,12 @@ def _t_from_rho(rho):
     flip = np.fliplr(np.eye(4))
     chol = np.linalg.cholesky(flip @ rho @ flip)
     T = flip @ chol.conj().T @ flip
-    t = np.empty(16)
-    t[:4] = T.diagonal().real
-    for k, (i, j) in enumerate(_OFFDIAG):
-        t[4 + 2 * k] = T[i, j].real
-        t[5 + 2 * k] = T[i, j].imag
-    return t
+    return np.einsum("kij,ij->k", _BASIS.conj(), T).real
 
 
 def rho_from_t(t):
     """Physical density matrix T^+T / tr(T^+T) of a 16-parameter vector."""
-    T = _t_to_matrix(np.asarray(t, dtype=float))
+    T = np.tensordot(np.asarray(t, dtype=float), _BASIS, axes=1)
     tdt = T.conj().T @ T
     norm = np.real(np.trace(tdt))
     if norm <= 0:
@@ -214,10 +242,9 @@ def rho_from_t(t):
 
 def neg_log_likelihood(rho, input: TomographyInput):
     """Objective value of a candidate density matrix against the counts."""
-    psi_rows = _projection_states(input.records)
     counts = np.array([r.counts for r in input.records], dtype=float)
     _, norms = estimate_normalization(input)
-    p = _born_probabilities(np.asarray(rho, dtype=complex), psi_rows)
+    p = _born_probabilities(np.asarray(rho, dtype=complex), _setup_of(input).psi_rows)
     return _nll_from_probs(p, counts, norms)
 
 
@@ -226,104 +253,99 @@ def _nll_from_probs(p, counts, norms):
     return float(np.sum((norms * p - counts) ** 2 / (2.0 * norms * q)))
 
 
-def _nll_grad_p(p, counts, norms):
-    """dL/dp per projection, consistent with the floored objective."""
+def _objective_and_grad(t, forms, counts, norms):
+    """L(t), its gradient and its Hessian in the 16 Cholesky parameters.
+
+    With G = M t (row v = M_v t), s = t.t and p_v = t.G_v / s, the
+    Jacobian of p is D = (2/s)(G - p t^T), the gradient is D^T L'(p)
+    and the Hessian is D^T diag(L''(p)) D + (2/s)(sum_v L'_v M_v -
+    (L'.p) I) - (2/s)(t grad^T + grad t^T). Below PROBABILITY_FLOOR the
+    objective is the quadratic that the floored denominator makes it.
+    """
+    G = forms @ t
+    s = float(t @ t)
+    p = (G @ t) / s
+    low = p < PROBABILITY_FLOOR
     q = np.maximum(p, PROBABILITY_FLOOR)
-    g = norms / 2.0 - counts**2 / (2.0 * norms * q**2)
-    g_clamped = (norms * p - counts) / PROBABILITY_FLOOR
-    return np.where(p < PROBABILITY_FLOOR, g_clamped, g)
-
-
-def _objective_and_grad(t, psi_rows, counts, norms):
-    T = _t_to_matrix(t)
-    tp = psi_rows @ T.T  # row v = (T psi_v)^T
-    quad = np.einsum("mi,mi->m", tp.conj(), tp).real
-    s = np.real(np.trace(T.conj().T @ T))
-    if s <= 0:
-        return 1e300, np.zeros(16)
-    p = quad / s
-
     val = _nll_from_probs(p, counts, norms)
-    g_p = _nll_grad_p(p, counts, norms)
+    d1 = np.where(low, (norms * p - counts) / PROBABILITY_FLOOR,
+                  norms / 2.0 - counts**2 / (2.0 * norms * q**2))
+    d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * q**3))
 
-    # W = sum_v g_v |psi_v><psi_v|;  grad_k = 2 Re tr(K E_k) with
-    # K = (W/s - c I) T^+, c = sum_v g_v p_v / s, E_k the basis matrix of t_k.
-    w = np.einsum("m,mi,mj->ij", g_p, psi_rows, psi_rows.conj())
-    c = float(np.dot(g_p, p)) / s
-    K = (w / s - c * np.eye(4)) @ T.conj().T
-
-    grad = np.empty(16)
-    grad[:4] = 2.0 * np.real(np.diagonal(K))
-    for k, (i, j) in enumerate(_OFFDIAG):
-        grad[4 + 2 * k] = 2.0 * np.real(K[j, i])
-        grad[5 + 2 * k] = -2.0 * np.imag(K[j, i])
-    return val, grad
+    jac = (2.0 / s) * (G - p[:, None] * t)
+    grad = d1 @ jac
+    curv = np.tensordot(d1, forms, axes=1) - float(d1 @ p) * np.eye(16)
+    cross = np.outer(t, grad)
+    hess = (jac.T * d2) @ jac + (2.0 / s) * (curv - cross - cross.T)
+    return val, grad, hess
 
 
 def mle_reconstruct(input: TomographyInput):
     """Maximum-likelihood density matrix for one projection data set.
 
-    Seeds a quasi-Newton (L-BFGS-B) minimization with the physical
-    projection of the linear inversion, via a Cholesky factorization of
-    the (slightly regularized) seed. The optimizer works on 16 real
-    parameters with an analytic gradient; the accepted objective values
-    are recorded and non-increasing. Returns the best matrix seen, so
-    the result is never worse than the seed. ``converged`` is False only
-    when the iteration budget is exhausted or the line search stalls
-    abnormally.
+    Starts from the physical projection of the linear inversion, via a
+    Cholesky factorization of the (slightly regularized) seed, scaled
+    to |t| = 1. Each step solves (|H| + lam I) dt = -grad, with |H| the
+    Hessian with its eigenvalues made positive, and renormalizes t; a
+    step that lowers L is taken and lam shrinks 4x, otherwise lam grows
+    8x and the step is tried again. lam starts at 1e-6 of the largest
+    |eigenvalue| of the seed's Hessian. The solve stops, converged, when
+    max|grad| <= 1e-10 max(1, L), when a taken step lowers L by at most
+    1e-14 of its value, or when the damped step no longer moves t (no
+    damping gives a decrease). ``iterations`` counts the steps tried,
+    taken or not; ``converged`` is False only when _MAX_ITERATIONS runs
+    out. Returns the better of the fit and the seed, so the result is
+    never worse than the seed.
     """
     if input.total_counts <= 0:
         raise ValidationError("total counts must be positive")
-    psi_rows = _projection_states(input.records)
+    setup = _setup_of(input)
     counts = np.array([r.counts for r in input.records], dtype=float)
     _, norms = estimate_normalization(input)
 
     rho_seed = project_physical(linear_inversion(input))
-    seed_nll = _nll_from_probs(_born_probabilities(rho_seed, psi_rows), counts, norms)
+    seed_nll = _nll_from_probs(_born_probabilities(rho_seed, setup.psi_rows), counts, norms)
     try:
-        t0 = _t_from_rho((1.0 - _RIDGE) * rho_seed + _RIDGE * np.eye(4) / 4.0)
+        t = _t_from_rho((1.0 - _RIDGE) * rho_seed + _RIDGE * np.eye(4) / 4.0)
     except np.linalg.LinAlgError:
-        t0 = np.ones(16)
+        t = np.ones(16)
+    t = t / np.linalg.norm(t)
 
-    history = []
+    val, grad, hess = _objective_and_grad(t, setup.forms, counts, norms)
+    evals, evecs = np.linalg.eigh(hess)
+    lam = 1e-6 * np.abs(evals).max()
+    iterations, converged = 0, False
+    while iterations < _MAX_ITERATIONS:
+        if np.abs(grad).max() <= 1e-10 * max(1.0, val):
+            converged = True
+            break
+        step = -evecs @ ((evecs.T @ grad) / (np.abs(evals) + lam))
+        if np.linalg.norm(step) <= 1e-15:  # |t| = 1: no damping gives a decrease
+            converged = True
+            break
+        trial = t + step
+        trial /= np.linalg.norm(trial)
+        iterations += 1
+        trial_val, trial_grad, trial_hess = _objective_and_grad(trial, setup.forms, counts, norms)
+        if trial_val < val:
+            small = val - trial_val <= 1e-14 * val
+            t, val, grad = trial, trial_val, trial_grad
+            if small:
+                converged = True
+                break
+            evals, evecs = np.linalg.eigh(trial_hess)
+            lam /= 4.0
+        else:
+            lam *= 8.0
 
-    def _record(intermediate_result):
-        history.append(intermediate_result.fun)
-
-    res = minimize(
-        _objective_and_grad,
-        t0,
-        args=(psi_rows, counts, norms),
-        method="L-BFGS-B",
-        jac=True,
-        callback=_record,
-        options=_LBFGS_OPTIONS,
-    )
-    if res.status == 2:  # abnormal line search: retry on numerical gradients
-        retry = minimize(
-            lambda tk: _objective_and_grad(tk, psi_rows, counts, norms)[0],
-            res.x,
-            method="L-BFGS-B",
-            callback=_record,
-            options=_LBFGS_OPTIONS,
-        )
-        if retry.fun <= res.fun:
-            res = retry
-
-    rho_opt = rho_from_t(res.x)
-    opt_nll = _nll_from_probs(_born_probabilities(rho_opt, psi_rows), counts, norms)
+    rho_opt = rho_from_t(t)
+    opt_nll = _nll_from_probs(_born_probabilities(rho_opt, setup.psi_rows), counts, norms)
     if opt_nll <= seed_nll:
         rho, nll = rho_opt, opt_nll
-    else:  # optimizer made no progress; keep the seed (best so far)
+    else:  # the fit ended above the seed; keep the seed (best so far)
         rho, nll = rho_seed, seed_nll
-    converged = bool(res.success)
-    return ReconstructionResult(
-        rho=rho,
-        neg_log_likelihood=nll,
-        iterations=int(res.nit),
-        converged=converged,
-        objective_history=tuple(history),
-    )
+    return ReconstructionResult(rho=rho, neg_log_likelihood=nll, iterations=iterations,
+                                converged=converged)
 
 
 @dataclass

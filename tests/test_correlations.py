@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qdcascade import (ComputationError, G2Result, Histogram, TimestampStream,
-                       ValidationError, cross_correlate, g2_zero, rebin)
+                       ValidationError, cross_correlate, g2_zero)
 from qdcascade.fitting import _lorentzian
 
 
@@ -84,21 +82,6 @@ class TestHistogram:
             Histogram(1.0, 0.0, np.array([-1]))
         with pytest.raises(ValidationError):
             Histogram(1.0, 0.0, np.array([]))
-
-    @given(
-        counts=st.lists(st.integers(0, 50), min_size=12, max_size=12),
-        factor=st.sampled_from([1, 2, 3, 4, 6]),
-    )
-    def test_rebin_preserves_totals(self, counts, factor):
-        h = Histogram(10.0, -60.0, np.array(counts))
-        merged = rebin(h, factor)
-        assert merged.total() == h.total()
-        assert merged.bin_width == 10.0 * factor
-        assert len(merged.counts) == 12 // factor
-
-    def test_rebin_requires_divisibility(self):
-        with pytest.raises(ValidationError):
-            rebin(Histogram(1.0, 0.0, np.ones(10)), 3)
 
 
 def comb_histogram(rep_period=12500.0, bin_width=50.0, n_periods=6, gamma=800.0,

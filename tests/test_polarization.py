@@ -9,9 +9,7 @@ from conftest import random_physical_rho
 from qdcascade import (PHI_PLUS, ValidationError, apply_correction, concurrence,
                        correction_unitary, density_of, projector_for,
                        tomography_bases, waveplate_jones)
-from qdcascade.polarization import (BASIS_LABELS, ORTHOGONAL, WAVEPLATE_SETTINGS,
-                                    CorrectionUnitary, WaveplateSetting,
-                                    analyzer_projection)
+from qdcascade.polarization import BASIS_LABELS, ORTHOGONAL, CorrectionUnitary
 from qdcascade.quantum import validate_density_matrix
 
 angles = st.floats(-10.0, 10.0)
@@ -72,15 +70,15 @@ class TestWaveplates:
         assert overlaps[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_settings_realize_projections(self):
-        for label, setting in WAVEPLATE_SETTINGS.items():
-            realized = analyzer_projection(setting)
-            target = projector_for(label)
-            assert abs(np.vdot(target, realized)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_setting_angle_range(self):
-        s = WaveplateSetting(np.pi + 0.1, -0.2)
-        assert 0.0 <= s.qwp_angle < np.pi
-        assert 0.0 <= s.hwp_angle < np.pi
+        # a QWP, then an HWP, then an H-transmitting polarizer passes one state
+        angles = {"H": (0.0, 0.0), "V": (0.0, np.pi / 4), "D": (np.pi / 4, np.pi / 8),
+                  "A": (np.pi / 4, 3 * np.pi / 8), "R": (np.pi / 4, 0.0),
+                  "L": (np.pi / 4, np.pi / 4)}
+        h = np.array([1.0, 0.0], dtype=complex)
+        for label, (qwp, hwp) in angles.items():
+            realized = (waveplate_jones(np.pi / 2, qwp).conj().T
+                        @ waveplate_jones(np.pi, hwp).conj().T @ h)
+            assert abs(np.vdot(projector_for(label), realized)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTomographyBases:

@@ -10,18 +10,14 @@ from qdcascade import (H_UEV_PS, HBAR_UEV_PS, PHI_MINUS, PHI_PLUS,
                        ValidationError, concurrence, density_of, fidelity,
                        oscillation_period, project_physical, time_evolved_state,
                        trace_distance)
-from qdcascade.constants import PhysicalConstants
 from qdcascade.quantum import rho_from_dict, rho_to_dict, validate_density_matrix
 
 HALF_PERIOD_465 = 444.69545124774226  # h / (2 * 4.65), frozen from the constants
 
 
 def test_constants_consistent():
-    c = PhysicalConstants()
-    assert c.h == pytest.approx(2 * np.pi * c.hbar, rel=1e-12)
+    assert H_UEV_PS == pytest.approx(2 * np.pi * HBAR_UEV_PS, rel=1e-12)
     assert HBAR_UEV_PS == pytest.approx(658.2119569)
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=1.0, h=5.0)
 
 
 class TestTimeEvolvedState:
@@ -223,9 +219,3 @@ def test_trace_distance_basics():
     assert trace_distance(rho, sigma) == pytest.approx(1.0, abs=1e-9)
     assert trace_distance(rho, np.eye(4) / 4.0) == pytest.approx(0.75, abs=1e-9)
 
-
-def test_purity():
-    from qdcascade.quantum import purity
-
-    assert purity(density_of(PHI_PLUS)) == pytest.approx(1.0, abs=1e-12)
-    assert purity(np.eye(4) / 4.0) == pytest.approx(0.25, abs=1e-12)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import runpy
 import sys
@@ -7,6 +8,7 @@ import pytest
 import qdcascade
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 @pytest.mark.parametrize("script,args,expect", [
@@ -26,3 +28,13 @@ def test_script_runs(script, args, expect, tmp_path, monkeypatch, capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in qdcascade.__all__ if not hasattr(qdcascade, name)]
     assert missing == []
+
+
+def test_every_benchmark_site_resolves(monkeypatch):
+    # the benchmark wraps these module attributes; a renamed or deleted one
+    # silently turns its per-layer metrics into "missing"
+    monkeypatch.syspath_prepend(BENCH)
+    layers = importlib.import_module("layers")
+    missing = [site.key for site, _ in layers.SITES
+               if not callable(getattr(importlib.import_module(site.module), site.attr, None))]
+    assert layers.SITES and missing == []
