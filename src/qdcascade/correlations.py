@@ -1,11 +1,12 @@
 """Coincidence histogramming and the pulsed g2(0) procedure.
 
 Delay histograms count event pairs with t_b - t_a inside half-open bins
-of fixed width; the sweep walks both sorted streams once per window, so
-ten-million-event runs stay tractable. g2(0) follows the side-peak
-normalization: Lorentzian fits to the side peaks set the window width
-(their mean FWHM), and the zero-delay window sum is divided by the mean
-side-peak window sum.
+of fixed width. The work is one binary search for each a-event's first
+partner, then one vectorized pass per window occupancy (the most partners
+any event has), so memory scales with events, not with pairs. g2(0)
+follows the side-peak normalization: Lorentzian fits to the side peaks
+set the window width (their mean FWHM), and the zero-delay window sum is
+divided by the mean side-peak window sum.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     Accepts timestamp arrays or TimestampStream objects; timestamps are
     interpreted as integer picoseconds and inputs need not be sorted.
     An empty input yields an all-zero histogram and a warning.
+
+    Pass k bins the k-th partner of every event whose window still has
+    one, so the loop runs once per window occupancy and never holds more
+    than one partner per event.
     """
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
@@ -74,30 +79,19 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
         warnings.warn("cross_correlate: empty stream, returning zero histogram")
         return Histogram(bin_width, origin, counts)
 
-    lo = np.searchsorted(tb, ta + origin, side="left")
-    hi = np.searchsorted(tb, ta + origin + n_bins * bin_width, side="left")
-    sizes = hi - lo
-    # flat indices of every in-window partner event
-    flat = np.repeat(lo, sizes) + _ranges(sizes)
-    delays = tb[flat] - np.repeat(ta, sizes)
-    idx = np.floor((delays - origin) / bin_width).astype(np.int64)
-    good = (idx >= 0) & (idx < n_bins)
-    np.add.at(counts, idx[good], 1)
+    # tb holds integers, so tb >= ta + origin exactly when tb >= ceil(ta + origin)
+    j = np.searchsorted(tb, np.ceil(ta + origin).astype(np.int64))  # first partner
+    a = ta  # the events whose window may still hold partner j
+    while j.size:
+        t = tb.take(j, mode="clip")  # j == len(tb) is dropped just below
+        keep = (t < a + origin + n_bins * bin_width) & (j < len(tb))
+        t = t[keep]  # one at a time: each old array is freed before the next copy
+        a = a[keep]
+        j = j[keep]
+        idx = np.floor((t - a - origin) / bin_width).astype(np.int64)
+        counts += np.bincount(idx[(idx >= 0) & (idx < n_bins)], minlength=n_bins)
+        j += 1
     return Histogram(bin_width, origin, counts)
-
-
-def _ranges(sizes):
-    """Concatenated arange(s) for each window size, without Python loops."""
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    starts = np.cumsum(sizes)[:-1]
-    out[0] = 0
-    nonzero = sizes > 0
-    first_in_window = np.concatenate([[0], starts])[nonzero]
-    out[first_in_window] = np.concatenate([[0], 1 - sizes[nonzero][:-1]])
-    return np.cumsum(out)
 
 
 @dataclass

@@ -169,7 +169,8 @@ def _read_binary(path):
         bad = np.nonzero(~np.isin(origins, list(_CODE_ORIGIN)))[0]
         if bad.size:
             raise ParseError(f"{path}: bad origin code", record_index=int(bad[0]))
-    return records["channel"], records["timestamp"].astype(np.int64), origins
+    # import_stream makes the one int64 copy
+    return records["channel"], records["timestamp"], origins
 
 
 def _read_csv(path):

@@ -1,9 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdcascade import (ComputationError, G2Result, Histogram, TimestampStream,
                        ValidationError, cross_correlate, g2_zero)
 from qdcascade.fitting import _lorentzian
+from qdcascade.simulate import (EmitterConfig, simulate_autocorrelation_run,
+                                simulate_projection_run)
 
 
 def brute_force_histogram(ta, tb, bin_width, max_delay):
@@ -72,6 +79,92 @@ class TestCrossCorrelate:
             cross_correlate(np.array([1]), np.array([1]), 0.0, 100.0)
         with pytest.raises(ValidationError):
             cross_correlate(np.array([1]), np.array([1]), 10.0, -5.0)
+
+    @pytest.mark.parametrize("bw,md", [(0.3, 7.45), (2.5, 41.2), (7.7, 100.05), (33.3, 250.0)])
+    def test_fractional_width_and_delay(self, rng, bw, md):
+        # a non-integral origin puts the window's lower edge between integers
+        ta = rng.integers(0, 2_000, 300)
+        tb = rng.integers(0, 2_000, 300)
+        h = cross_correlate(ta, tb, bw, md)
+        assert h.origin == -md
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+
+    def test_dense_windows(self, rng):
+        ta = rng.integers(0, 20_000, 500)
+        tb = rng.integers(0, 20_000, 2_000)
+        h = cross_correlate(ta, tb, 40.0, 600.0)  # about 120 partners per event
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, 40.0, 600.0))
+        assert h.total() >= 10 * len(ta)
+
+    def test_equal_timestamps_and_window_edges(self):
+        ta = np.array([1000, 1000, 1000, 5000])
+        # partners exactly on the lower edge (included), on the upper edge
+        # (excluded), one short of it, and equal to the a-events
+        tb = np.array([500, 500, 1000, 1000, 1499, 1500, 4500, 5000, 5499, 5500])
+        h = cross_correlate(ta, tb, 100.0, 500.0)
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, 100.0, 500.0))
+        assert h.counts[0] == 3 * 2 + 1   # delay -500
+        assert h.counts[5] == 3 * 2 + 1   # delay 0
+        assert h.counts[-1] == 3 + 1      # delay 499
+        assert h.total() == 3 * 5 + 3
+
+    def test_partners_run_off_the_end(self, rng):
+        ta = np.sort(rng.integers(0, 10_000, 200))
+        tb = np.sort(rng.integers(0, 10_000, 200))
+        # late events' windows reach past the last b-event; at +-12 ns every
+        # window also reaches before the first
+        for bw, md in ((50.0, 12_000.0), (125.0, 3_000.0), (10.0, 200.0)):
+            h = cross_correlate(ta, tb, bw, md)
+            assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+        h = cross_correlate(np.array([9_999]), tb, 100.0, 1_000.0)
+        assert h.total() == np.count_nonzero(tb >= 8_999)
+
+    @given(
+        ta=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
+        tb=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
+        bw=st.floats(0.25, 400.0),
+        md=st.floats(0.5, 4_000.0),
+    )
+    def test_matches_brute_force_property(self, ta, tb, bw, md):
+        h = cross_correlate(np.array(ta), np.array(tb), bw, md)
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+
+
+def _digest(hist):
+    return hashlib.sha256(hist.counts.tobytes()).hexdigest()
+
+
+def test_recapture_run_histograms_are_pinned():
+    # digests of the earlier pair-expansion implementation, which any window
+    # walk must reproduce bit for bit; the g2 and recapture fit use these shapes
+    cfg = EmitterConfig(recapture_probability=0.36)
+    a, b = simulate_autocorrelation_run(cfg, "XX", 150_000, seed=3)
+    wide = cross_correlate(a, b, 50.0, 5.5 * cfg.rep_period_ps)
+    assert _digest(wide) == "c37b2587ccbcea57c4625af8f4d86a756031dd1212364085ed50ddfd1fb58309"
+    center = cross_correlate(a, b, 25.0, 4000.0)
+    assert _digest(center) == "fdd78787fff69433457e8c1c71073cd73656664aed642a6bdd79922c687e0f71"
+
+
+def test_projection_run_histogram_is_pinned():
+    xx, x = simulate_projection_run(EmitterConfig(), "HH", 150_000, seed=11)
+    h = cross_correlate(xx, x, 100.0, 6000.0)
+    assert _digest(h) == "c5d8ffedcd71bcbec101ef6f98aac4ba69ee2c288e3715310799f249b2cc851a"
+
+
+def test_wide_window_peak_memory():
+    # about 40 partners per event (4M pairs); expanding every pair peaked
+    # at 136 MB here, walking one partner per event at a time at about 7 MB
+    rng = np.random.default_rng(5)
+    ta = np.sort(rng.integers(0, 100_000_000, 100_000))
+    tb = np.sort(rng.integers(0, 100_000_000, 100_000))
+    tracemalloc.start()
+    try:
+        h = cross_correlate(ta, tb, 100.0, 20_000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.total() > 30 * len(ta)
+    assert peak < 30e6
 
 
 class TestHistogram:

@@ -7,7 +7,7 @@ import pytest
 
 from qdcascade import ParseError, TimestampStream, export_stream, import_stream
 from qdcascade.simulate import EmitterConfig, simulate_projection_run
-from qdcascade.streams import _ORIGIN_CODE
+from qdcascade.streams import _HEADER, _ORIGIN_CODE, _REC_V1, MAGIC
 
 
 def small_stream():
@@ -71,6 +71,20 @@ class TestImportEdgeCases:
         with pytest.warns(UserWarning, match="not sorted"):
             back = import_stream(path)
         assert list(back.timestamps_ps) == [100, 300, 500]
+
+    def test_unsorted_binary_sorts_and_warns(self, tmp_path):
+        records = np.zeros(3, dtype=_REC_V1)
+        records["channel"] = [1, 0, 1]
+        records["timestamp"] = [500, 100, 300]
+        path = tmp_path / "u.ctts"
+        path.write_bytes(_HEADER.pack(MAGIC, 1, 3) + records.tobytes())
+        with pytest.warns(UserWarning, match="not sorted"):
+            back = import_stream(path)
+        assert list(back.timestamps_ps) == [100, 300, 500]
+        assert list(back.channels) == [0, 1, 1]
+        assert back.timestamps_ps.dtype == np.int64
+        assert back.timestamps_ps.flags.c_contiguous
+        assert back.duration_ps == 501.0
 
     def test_concurrent_csv_imports_keep_warning_filters(self, tmp_path):
         # the pipeline imports streams on several threads, where a
