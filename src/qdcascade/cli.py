@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, tomo, analyze (g2, lifetime, fss, fss-period,
-recapture, power, efficiency) and report. Exit codes: 0 success,
-1 validation error, 2 computation failure. The environment variable
+recapture, power, efficiency) and report; analyze calls the fitting
+and correlation functions directly. Exit codes: 0 success, 1 bad input
+(invalid or unreadable), 2 computation failure. The environment variable
 CASCADE_TOMO_SEED overrides the configured simulation seed.
 """
 
@@ -11,13 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import io as qio
 from . import pipeline
 from .config import load_config
-from .errors import ComputationError, ValidationError
+from .correlations import g2_zero
+from .errors import ComputationError, ParseError, ValidationError
+from .fitting import (first_lens_rate, fit_model, fss_from_peak_positions,
+                      fss_from_period, poisson_weights)
 from .version import __version__
 
 
@@ -86,7 +91,10 @@ def _build_parser():
 
 
 def _read_xy_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if data.shape[1] < 2:
         raise ValidationError(f"{path}: expected two CSV columns")
     return data[:, 0], data[:, 1]
@@ -103,23 +111,29 @@ def _emit(result, out_path):
 def _run_analyze(args):
     if args.kind == "g2":
         hist = qio.read_histogram_csv(args.histogram)
-        return pipeline.analyze_g2(hist, args.rep_period, args.n_side)
-    if args.kind == "lifetime":
-        return pipeline.analyze_lifetime(qio.read_histogram_csv(args.histogram), args.x0)
+        return asdict(g2_zero(hist, args.rep_period, args.n_side))
+    if args.kind == "lifetime":  # exponential tail fit from x0 (default: the peak)
+        hist = qio.read_histogram_csv(args.histogram)
+        x, y = hist.bin_centers, np.asarray(hist.counts, dtype=float)
+        x0 = float(x[np.argmax(y)]) if args.x0 is None else args.x0
+        sel = x >= x0
+        return asdict(fit_model("exponential", x[sel], y[sel],
+                                weights=poisson_weights(y[sel]), init={"x0": x0}))
+    if args.kind == "recapture":
+        hist = qio.read_histogram_csv(args.histogram)
+        y = np.asarray(hist.counts, dtype=float)
+        return asdict(fit_model("recapture", hist.bin_centers, y, weights=poisson_weights(y)))
     if args.kind == "fss":
         angles, energies = _read_xy_csv(args.data)
-        return pipeline.analyze_fss(angles, energies, args.harmonic)
+        fss, fit = fss_from_peak_positions(angles, energies, harmonic=args.harmonic)
+        return {"fss_uev": fss, "fit": asdict(fit)}
     if args.kind == "fss-period":
-        return pipeline.analyze_fss_period(args.period_ps)
-    if args.kind == "recapture":
-        return pipeline.analyze_recapture(qio.read_histogram_csv(args.histogram))
+        return {"period_ps": args.period_ps, "fss_uev": fss_from_period(args.period_ps)}
     if args.kind == "power":
-        x, y = _read_xy_csv(args.data)
-        return pipeline.analyze_power(x, y)
+        return asdict(fit_model("power_law", *_read_xy_csv(args.data)))
     if args.kind == "efficiency":
-        return pipeline.analyze_efficiency(
-            args.measured_cps, args.setup_eff, args.detector_eff, args.rep_rate
-        )
+        return asdict(first_lens_rate(args.measured_cps, args.setup_eff,
+                                      args.detector_eff, args.rep_rate))
     raise ValidationError(f"unknown analyze kind {args.kind!r}")
 
 
@@ -151,7 +165,7 @@ def main(argv=None):
             print(f"report rebuilt: {len(report['bins'])} bins")
         else:  # pragma: no cover - argparse enforces choices
             raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ComputationError as exc:

@@ -69,9 +69,11 @@ class IOConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "formats", tuple(self.formats))
-        for f in self.formats:
-            if f not in ("binary", "csv"):
-                raise ValidationError(f"unknown stream format {f!r}")
+        if len(self.formats) != 1:  # every stream of a run is written in one format
+            raise ValidationError(
+                f"io.formats must hold exactly one stream format, got {list(self.formats)}")
+        if self.formats[0] not in ("binary", "csv"):
+            raise ValidationError(f"unknown stream format {self.formats[0]!r}")
 
 
 @dataclass(frozen=True)

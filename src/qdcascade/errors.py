@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps ValidationError to exit code 1 and ComputationError to
-exit code 2; everything else is a bug.
+The CLI maps ValidationError and OSError to exit code 1 and
+ComputationError to exit code 2; everything else is a bug.
 """
 
 

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 import numpy as np
 
 from .correlations import Histogram
 from .errors import ParseError, ValidationError
-from .fitting import FitResult
 from .tomography import ProjectionRecord, TomographyInput
 
 
@@ -48,26 +46,49 @@ def write_projection_csv(input: TomographyInput, path):
             fh.write(f"{rec.basis_pair},{rec.counts:.17g},{rec.acquisition_weight:.17g}\n")
 
 
-def read_projection_csv(path) -> TomographyInput:
-    """Read `basis,counts,weight` rows into a TomographyInput."""
-    records = []
+def _read_rows(path, columns, parse):
+    """The non-blank rows of a CSV whose header is ``columns``, each through ``parse``.
+
+    ``parse`` takes the row's comma-separated fields. A row it rejects
+    (IndexError, ValueError or ValidationError) raises ParseError with
+    the row's index among the lines after the header.
+    """
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header.split(",")[:2] != ["basis", "counts"]:
+        if header.split(",") != list(columns):
             raise ParseError(f"{path}: bad header {header!r}")
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                basis = parts[0].strip()
-                counts = float(parts[1])
-                weight = float(parts[2]) if len(parts) > 2 else 1.0
-                records.append(ProjectionRecord(basis, counts, weight))
+                rows.append(parse(line.split(",")))
             except (IndexError, ValueError, ValidationError) as exc:
                 raise ParseError(f"{path}: {exc}", record_index=i) from exc
-    return TomographyInput(tuple(records))
+    return rows
+
+
+def _uniform_width(path, starts):
+    """Bin width of a uniform grid of at least two bin starts."""
+    if len(starts) < 2:
+        raise ValidationError(f"{path}: need at least two bins to infer the bin width")
+    widths = np.diff(starts)
+    if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
+        raise ValidationError(f"{path}: bin grid is not uniform")
+    return float(widths[0])
+
+
+def _projection_row(fields):
+    counts = float(fields[1])
+    weight = float(fields[2]) if len(fields) > 2 else 1.0
+    return ProjectionRecord(fields[0].strip(), counts, weight)
+
+
+def read_projection_csv(path) -> TomographyInput:
+    """Read `basis,counts,weight` rows into a TomographyInput (weight defaults to 1)."""
+    columns = ("basis", "counts", "weight")
+    return TomographyInput(tuple(_read_rows(path, columns, _projection_row)))
 
 
 def write_binned_csv(histograms, path):
@@ -80,6 +101,11 @@ def write_binned_csv(histograms, path):
                 fh.write(f"{basis},{start:g},{int(c)}\n")
 
 
+def _binned_row(fields):
+    basis, start, counts = fields
+    return basis, float(start), float(counts)
+
+
 def read_binned_csv(path):
     """Read `basis,bin_start_ps,counts` into {basis: Histogram}.
 
@@ -87,19 +113,9 @@ def read_binned_csv(path):
     inferred from the grid spacing.
     """
     rows = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",") != ["basis", "bin_start_ps", "counts"]:
-            raise ParseError(f"{path}: bad header {header!r}")
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                basis, start, counts = line.split(",")
-                rows.setdefault(basis, []).append((float(start), float(counts)))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", record_index=i) from exc
+    for basis, start, counts in _read_rows(path, ("basis", "bin_start_ps", "counts"),
+                                           _binned_row):
+        rows.setdefault(basis, []).append((start, counts))
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
@@ -111,12 +127,7 @@ def read_binned_csv(path):
             starts = s
         elif len(s) != len(starts) or np.any(s != starts):
             raise ValidationError(f"{path}: bin grid for {basis} differs from the rest")
-    if len(starts) < 2:
-        raise ValidationError(f"{path}: need at least two bins to infer the bin width")
-    widths = np.diff(starts)
-    if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
-        raise ValidationError(f"{path}: bin grid is not uniform")
-    width = float(widths[0])
+    width = _uniform_width(path, starts)
     return {
         basis: Histogram(width, float(starts[0]), np.array([p[1] for p in pairs]))
         for basis, pairs in rows.items()
@@ -130,30 +141,14 @@ def write_histogram_csv(hist: Histogram, path):
             fh.write(f"{start:g},{int(c)}\n")
 
 
+def _histogram_row(fields):
+    start, counts = fields
+    return float(start), float(counts)
+
+
 def read_histogram_csv(path) -> Histogram:
-    starts, counts = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",") != ["bin_start_ps", "counts"]:
-            raise ParseError(f"{path}: bad header {header!r}")
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                s, c = line.split(",")
-                starts.append(float(s))
-                counts.append(float(c))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", record_index=i) from exc
-    if len(starts) < 2:
-        raise ValidationError(f"{path}: need at least two bins")
-    starts = np.array(starts)
-    widths = np.diff(starts)
-    if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
-        raise ValidationError(f"{path}: bin grid is not uniform")
-    return Histogram(float(widths[0]), float(starts[0]), np.array(counts))
-
-
-def fit_result_dict(fit: FitResult):
-    return asdict(fit)
+    """Read `bin_start_ps,counts` rows on a uniform grid into a Histogram."""
+    rows = _read_rows(path, ("bin_start_ps", "counts"), _histogram_row)
+    starts = np.array([start for start, _ in rows])
+    width = _uniform_width(path, starts)
+    return Histogram(width, float(starts[0]), np.array([c for _, c in rows]))

@@ -1,9 +1,11 @@
 """High-level commands wiring simulation, reconstruction and reporting.
 
 Every command is a plain function over a RunConfig so the CLI stays a
-thin argument parser. Outputs are deterministic for a fixed config and
-seed: stable key ordering, bins sorted by start time and floats in the
-report rounded to 12 significant digits.
+thin argument parser; the CLI's analyze subcommands need no config and
+call the correlation and fitting functions themselves. Outputs are
+deterministic for a fixed config and seed: stable key ordering, bins
+sorted by start time and floats in the report rounded to 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import numpy as np
 
 from . import io as qio
 from .config import RunConfig
-from .correlations import Histogram, cross_correlate, g2_zero
+from .correlations import Histogram, cross_correlate
 from .errors import ValidationError
-from .fitting import (first_lens_rate, fit_model, fss_from_peak_positions,
-                      fss_from_period, poisson_weights)
+from .fitting import fit_model
 from .polarization import CorrectionUnitary, apply_correction, tomography_bases
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
@@ -102,7 +103,10 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
 def _histograms_from_manifest(manifest_path, config: RunConfig):
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{manifest_path} is not valid JSON: {exc}") from exc
     by_basis = {entry["basis"]: entry for entry in manifest.get("files", [])}
     expected = [label for label, _, _ in tomography_bases(config.tomography.basis_count)]
     missing = [label for label in expected if label not in by_basis]
@@ -124,11 +128,6 @@ def _histograms_from_manifest(manifest_path, config: RunConfig):
     return dict(zip(expected, _map_in_pool(correlate, expected)))
 
 
-def _bin_metrics(result, correction, arms, target):
-    rho = apply_correction(result.rho, correction, arms)
-    return rho, fidelity(rho, target), concurrence(rho)
-
-
 def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
              out_dir=None):
     """Reconstruct per-time-bin states and write the analysis report.
@@ -147,8 +146,6 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
 
     tomo_cfg = config.tomography
     correction = CorrectionUnitary(tomo_cfg.correction.theta, tomo_cfg.correction.phi)
-    arms = tomo_cfg.correction.arms
-    target = PHI_PLUS
 
     weights, extra_outputs = {}, []
     if manifest:
@@ -177,47 +174,33 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         for s in tomo.skipped
     ]
 
+    def corrected(rho):
+        return apply_correction(rho, correction, tomo_cfg.correction.arms)
+
     bins = []
     for k, b in enumerate(tomo.bins):
-        result = b.result
-        rho, fid, conc = _bin_metrics(result, correction, arms, target)
+        rho = corrected(b.result.rho)
         fid_std = conc_std = None
         if tomo_cfg.bootstrap_samples >= 2:
-            transform = lambda r: apply_correction(r, correction, arms)
             boot_seed = (config.simulation.seed or 0) + 7000 + k
             boot = bootstrap_metrics(
                 b.input, tomo_cfg.bootstrap_samples, ("fidelity", "concurrence"),
-                target=target, seed=boot_seed, transform=transform,
+                target=PHI_PLUS, seed=boot_seed, transform=corrected,
             )
             fid_std, conc_std = boot["fidelity"].std, boot["concurrence"].std
         rel = f"bins/bin_{k:04d}.json"
-        qio.dump_json(
-            {
-                "bin_start_ps": b.bin_start,
-                "bin_width_ps": b.bin_width,
-                "rho": rho_to_dict(rho),
-                "fidelity": fid,
-                "concurrence": conc,
-                "fidelity_std": fid_std,
-                "concurrence_std": conc_std,
-                "converged": result.converged,
-            },
-            os.path.join(out_dir, rel),
-        )
-        bins.append(
-            {
-                "bin_start_ps": b.bin_start,
-                "bin_width_ps": b.bin_width,
-                "total_counts": b.total_counts,
-                "fidelity": fid,
-                "concurrence": conc,
-                "fidelity_std": fid_std,
-                "concurrence_std": conc_std,
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "rho_file": rel,
-            }
-        )
+        record = {  # the keys that the bin file and the report bin share
+            "bin_start_ps": b.bin_start,
+            "bin_width_ps": b.bin_width,
+            "fidelity": fidelity(rho, PHI_PLUS),
+            "concurrence": concurrence(rho),
+            "fidelity_std": fid_std,
+            "concurrence_std": conc_std,
+            "converged": b.result.converged,
+        }
+        qio.dump_json({**record, "rho": rho_to_dict(rho)}, os.path.join(out_dir, rel))
+        bins.append({**record, "total_counts": b.total_counts,
+                     "iterations": b.result.iterations, "rho_file": rel})
 
     meta = {
         "toolkit_version": __version__,
@@ -227,9 +210,7 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         "extra_outputs": sorted(extra_outputs),
     }
     qio.dump_json(meta, os.path.join(out_dir, "tomo_meta.json"))
-    report = build_report(meta)
-    _write_report_files(report, bins, out_dir)
-    return report
+    return _write_report(meta, out_dir)
 
 
 def build_report(meta):
@@ -272,29 +253,26 @@ def build_report(meta):
         y = np.array([b["fidelity"] for b in timed])
         try:
             fit = fit_model("sinusoid", x, y)
-            report["fits"]["fidelity_oscillation"] = qio.fit_result_dict(fit)
+            report["fits"]["fidelity_oscillation"] = asdict(fit)
         except Exception:
             report["fits"]["fidelity_oscillation"] = None
     return report
 
 
-def _write_report_files(report, bins, out_dir):
+#: Columns of metrics_vs_time.csv, one row per report bin.
+_METRICS_COLUMNS = ("bin_start_ps", "bin_width_ps", "total_counts", "fidelity",
+                    "fidelity_std", "concurrence", "concurrence_std", "converged")
+
+
+def _write_report(meta, out_dir):
+    """Build the report from ``meta`` and write report.json and metrics_vs_time.csv."""
+    report = build_report(meta)
     with open(os.path.join(out_dir, "metrics_vs_time.csv"), "w") as fh:
-        fh.write(
-            "bin_start_ps,bin_width_ps,total_counts,fidelity,fidelity_std,"
-            "concurrence,concurrence_std,converged\n"
-        )
+        fh.write(",".join(_METRICS_COLUMNS) + "\n")
         for b in report["bins"]:
-            fh.write(
-                ",".join(
-                    _csv_cell(b[k])
-                    for k in ("bin_start_ps", "bin_width_ps", "total_counts",
-                              "fidelity", "fidelity_std", "concurrence",
-                              "concurrence_std", "converged")
-                )
-                + "\n"
-            )
+            fh.write(",".join(_csv_cell(b[k]) for k in _METRICS_COLUMNS) + "\n")
     qio.dump_json(report, os.path.join(out_dir, "report.json"), digits=12)
+    return report
 
 
 def _csv_cell(value):
@@ -313,54 +291,7 @@ def cmd_report(run_dir):
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"no tomo metadata under {run_dir}: {exc}") from exc
-    report = build_report(meta)
-    _write_report_files(report, report["bins"], run_dir)
-    return report
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read tomo metadata under {run_dir}: {exc}") from exc
+    return _write_report(meta, run_dir)
 
-
-def analyze_g2(hist: Histogram, rep_period, n_side_peaks=5):
-    result = g2_zero(hist, rep_period, n_side_peaks)
-    return {
-        "g2_zero": result.g2_zero,
-        "window_delta": result.window_delta,
-        "side_peak_fwhm": result.side_peak_fwhm,
-    }
-
-
-def analyze_lifetime(hist: Histogram, x0=None):
-    """Exponential tail fit of a decay histogram (Poisson weights)."""
-    x = hist.bin_centers
-    y = np.asarray(hist.counts, dtype=float)
-    if x0 is None:
-        x0 = float(x[np.argmax(y)])
-    sel = x >= x0
-    fit = fit_model("exponential", x[sel], y[sel],
-                    weights=poisson_weights(y[sel]), init={"x0": x0})
-    return qio.fit_result_dict(fit)
-
-
-def analyze_recapture(hist: Histogram, init=None):
-    x = hist.bin_centers
-    y = np.asarray(hist.counts, dtype=float)
-    fit = fit_model("recapture", x, y, weights=poisson_weights(y), init=init)
-    return qio.fit_result_dict(fit)
-
-
-def analyze_power(x, y):
-    return qio.fit_result_dict(fit_model("power_law", x, y))
-
-
-def analyze_fss(angles, energies, harmonic=4):
-    fss, fit = fss_from_peak_positions(angles, energies, harmonic=harmonic)
-    return {"fss_uev": fss, "fit": qio.fit_result_dict(fit)}
-
-
-def analyze_fss_period(period_ps):
-    return {"period_ps": period_ps, "fss_uev": fss_from_period(period_ps)}
-
-
-def analyze_efficiency(measured_cps, setup_eff, detector_eff, rep_rate_mhz):
-    result = first_lens_rate(measured_cps, setup_eff, detector_eff, rep_rate_mhz)
-    return asdict(result)

@@ -106,6 +106,17 @@ def _orthogonal_vector(v):
     return np.array([-np.conj(v[1]), np.conj(v[0])])
 
 
+def _start_run(config, n_pulses, seed):
+    """Check ``n_pulses``; return the run's generator, its duration (ps) and
+    the start times (ps) of the pulses that excite the dot, in pulse order."""
+    if n_pulses < 0:
+        raise ValidationError("n_pulses must be nonnegative")
+    rng = np.random.default_rng(seed)
+    period = config.rep_period_ps
+    excited = rng.random(n_pulses) < config.excitation_fraction
+    return rng, n_pulses * period, np.nonzero(excited)[0] * period
+
+
 def _background_times(rng, rate_cps, duration_ps):
     n = rng.poisson(rate_cps * 1e-12 * duration_ps)
     return rng.uniform(0.0, duration_ps, n)
@@ -186,16 +197,8 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     and then survives with the combined setup and detector efficiency.
     Returns (xx_stream, x_stream) on channels 0 and 1.
     """
-    if n_pulses < 0:
-        raise ValidationError("n_pulses must be nonnegative")
+    rng, duration, pulse_t = _start_run(config, n_pulses, seed)
     a, b = _resolve_pair(pair)
-    rng = np.random.default_rng(seed)
-    period = config.rep_period_ps
-    duration = n_pulses * period
-
-    excited = rng.random(n_pulses) < config.excitation_fraction
-    pulse_t = np.nonzero(excited)[0] * period
-    del excited
     m = len(pulse_t)
     d_xx = rng.exponential(config.tau_xx, m)
     d_x = rng.exponential(config.tau_x, m)
@@ -233,14 +236,7 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
     """
     if species not in ("X", "XX"):
         raise ValidationError(f"species must be 'X' or 'XX', got {species!r}")
-    if n_pulses < 0:
-        raise ValidationError("n_pulses must be nonnegative")
-    rng = np.random.default_rng(seed)
-    period = config.rep_period_ps
-    duration = n_pulses * period
-
-    excited = rng.random(n_pulses) < config.excitation_fraction
-    pulse_t = np.nonzero(excited)[0] * period
+    rng, duration, pulse_t = _start_run(config, n_pulses, seed)
     m = len(pulse_t)
 
     if species == "X":

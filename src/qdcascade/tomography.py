@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -95,7 +94,6 @@ class TomographyInput:
     """A complete set of 16 or 36 distinct projection records."""
 
     records: tuple
-    time_bin: Optional[tuple] = None  # (start_ps, width_ps)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -132,46 +130,73 @@ class BootstrapResult:
     values: tuple = field(default=(), repr=False)
 
 
+def _design(psis):
+    """Rows vec |psi_v><psi_v|^*, so that design @ vec(rho) = <psi_v|rho|psi_v>."""
+    return np.einsum("mi,mj->mij", psis.conj(), psis).reshape(len(psis), 16)
+
+
 @dataclass(frozen=True)
 class _ProjectionSetup:
     """What a reconstruction needs of one basis-pair order (read-only arrays).
 
-    ``psi_rows`` are the two-photon projection states, ``design`` the
-    linear-inversion matrix (row v = vec |psi_v><psi_v|^*) and ``forms``
-    the real symmetric M_v with t.M_v.t = |T psi_v|^2.
+    ``design`` is the linear-inversion matrix (see ``_design``),
+    ``forms`` the real symmetric M_v with t.M_v.t = |T psi_v|^2, and
+    ``quads`` the record indices (a+b, a+b', a'+b, a'+b') of every
+    complete orthogonal quadruple, one row each.
     """
 
-    psi_rows: np.ndarray
     design: np.ndarray
     full_rank: bool
     forms: np.ndarray
+    quads: np.ndarray
+
+
+_ARM_BASES = (("H", "V"), ("D", "A"), ("R", "L"))
 
 
 @functools.lru_cache(maxsize=16)
 def _projection_setup(pairs):
-    psi_rows = np.array([np.kron(projector_for(a), projector_for(b)) for a, b in pairs])
-    design = np.einsum("mi,mj->mij", psi_rows.conj(), psi_rows).reshape(len(pairs), 16)
+    psis = np.array([np.kron(projector_for(a), projector_for(b)) for a, b in pairs])
+    design = _design(psis)
     full_rank = bool(np.linalg.matrix_rank(design) == 16)
-    cols = np.einsum("kij,mj->mik", _BASIS, psi_rows)  # T psi_v = cols[v] @ t
+    cols = np.einsum("kij,mj->mik", _BASIS, psis)  # T psi_v = cols[v] @ t
     forms = np.einsum("mik,mil->mkl", cols.conj(), cols).real
-    for arr in (psi_rows, design, forms):
+    index = {p: i for i, p in enumerate(pairs)}
+    quads = [[index[a + b], index[a + b_], index[a_ + b], index[a_ + b_]]
+             for a, a_ in _ARM_BASES for b, b_ in _ARM_BASES
+             if {a + b, a + b_, a_ + b, a_ + b_} <= index.keys()]
+    quads = np.array(quads, dtype=np.intp).reshape(-1, 4)
+    for arr in (design, forms, quads):
         arr.setflags(write=False)
-    return _ProjectionSetup(psi_rows, design, full_rank, forms)
+    return _ProjectionSetup(design, full_rank, forms, quads)
 
 
-def _setup_of(input):
-    return _projection_setup(tuple(r.basis_pair for r in input.records))
-
-
-def _born_probabilities(rho, psi_rows):
-    p = np.einsum("mi,ij,mj->m", psi_rows.conj(), rho, psi_rows).real
-    return np.clip(p, 0.0, 1.0)
+def _probabilities(design, rho):
+    """Born probabilities clip(Re(design @ vec rho), 0, 1), one per design row."""
+    return np.clip((design @ np.ravel(rho)).real, 0.0, 1.0)
 
 
 def expected_probability(rho, pair):
     """Born probability of a joint projection (jones_xx, jones_x) on rho."""
     psi = np.kron(np.asarray(pair[0], dtype=complex), np.asarray(pair[1], dtype=complex))
-    return float(_born_probabilities(validate_density_matrix(rho), psi[None])[0])
+    return float(_probabilities(_design(psi[None]), validate_density_matrix(rho))[0])
+
+
+def _prepared(input):
+    """Setup, counts, pair flux and N_v of one input (see estimate_normalization)."""
+    if input.total_counts <= 0:
+        raise ValidationError("total counts must be positive")
+    setup = _projection_setup(tuple(r.basis_pair for r in input.records))
+    if not len(setup.quads):
+        raise ValidationError("no complete orthogonal basis quadruple in the record set")
+    counts = np.array([r.counts for r in input.records], dtype=float)
+    weights = np.array([r.acquisition_weight for r in input.records])
+    q = (counts / weights)[setup.quads]
+    # summed left to right, which fixes the rounding of each quadruple's estimate
+    flux = float(np.mean(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]))
+    if flux <= 0:
+        raise ValidationError("estimated pair flux is zero; cannot normalize counts")
+    return setup, counts, flux, flux * weights
 
 
 def estimate_normalization(input: TomographyInput):
@@ -182,23 +207,8 @@ def estimate_normalization(input: TomographyInput):
     averages all quadruples present in the record set. Returns
     (flux, N_v array aligned with input.records).
     """
-    by_pair = {r.basis_pair: r for r in input.records}
-    arm_bases = (("H", "V"), ("D", "A"), ("R", "L"))
-    estimates = []
-    for a, a_ in arm_bases:
-        for b, b_ in arm_bases:
-            quad = (a + b, a + b_, a_ + b, a_ + b_)
-            if all(q in by_pair for q in quad):
-                estimates.append(
-                    sum(by_pair[q].counts / by_pair[q].acquisition_weight for q in quad)
-                )
-    if not estimates:
-        raise ValidationError("no complete orthogonal basis quadruple in the record set")
-    flux = float(np.mean(estimates))
-    if flux <= 0:
-        raise ValidationError("estimated pair flux is zero; cannot normalize counts")
-    weights = np.array([r.acquisition_weight for r in input.records])
-    return flux, flux * weights
+    _, _, flux, norms = _prepared(input)
+    return flux, norms
 
 
 def linear_inversion(input: TomographyInput):
@@ -208,16 +218,14 @@ def linear_inversion(input: TomographyInput):
     eigenvalues when the counts are noisy; it is the standard seed for
     the maximum-likelihood step. Raises on a degenerate projection set.
     """
-    if input.total_counts <= 0:
-        raise ValidationError("total counts must be positive")
-    _, norms = estimate_normalization(input)
-    counts = np.array([r.counts for r in input.records], dtype=float)
-    probs = counts / norms
+    setup, counts, _, norms = _prepared(input)
+    return _linear_inversion(setup, counts, norms)
 
-    setup = _setup_of(input)
+
+def _linear_inversion(setup, counts, norms):
     if not setup.full_rank:
         raise ValidationError("degenerate projection set: linear system is singular")
-    x, *_ = np.linalg.lstsq(setup.design, probs.astype(complex), rcond=None)
+    x, *_ = np.linalg.lstsq(setup.design, (counts / norms).astype(complex), rcond=None)
     rho = x.reshape(4, 4)
     return 0.5 * (rho + rho.conj().T)
 
@@ -242,10 +250,9 @@ def rho_from_t(t):
 
 def neg_log_likelihood(rho, input: TomographyInput):
     """Objective value of a candidate density matrix against the counts."""
-    counts = np.array([r.counts for r in input.records], dtype=float)
-    _, norms = estimate_normalization(input)
-    p = _born_probabilities(np.asarray(rho, dtype=complex), _setup_of(input).psi_rows)
-    return _nll_from_probs(p, counts, norms)
+    setup, counts, _, norms = _prepared(input)
+    return _nll_from_probs(_probabilities(setup.design, np.asarray(rho, dtype=complex)),
+                           counts, norms)
 
 
 def _nll_from_probs(p, counts, norms):
@@ -297,14 +304,9 @@ def mle_reconstruct(input: TomographyInput):
     out. Returns the better of the fit and the seed, so the result is
     never worse than the seed.
     """
-    if input.total_counts <= 0:
-        raise ValidationError("total counts must be positive")
-    setup = _setup_of(input)
-    counts = np.array([r.counts for r in input.records], dtype=float)
-    _, norms = estimate_normalization(input)
-
-    rho_seed = project_physical(linear_inversion(input))
-    seed_nll = _nll_from_probs(_born_probabilities(rho_seed, setup.psi_rows), counts, norms)
+    setup, counts, _, norms = _prepared(input)
+    rho_seed = project_physical(_linear_inversion(setup, counts, norms))
+    seed_nll = _nll_from_probs(_probabilities(setup.design, rho_seed), counts, norms)
     try:
         t = _t_from_rho((1.0 - _RIDGE) * rho_seed + _RIDGE * np.eye(4) / 4.0)
     except np.linalg.LinAlgError:
@@ -339,7 +341,7 @@ def mle_reconstruct(input: TomographyInput):
             lam *= 8.0
 
     rho_opt = rho_from_t(t)
-    opt_nll = _nll_from_probs(_born_probabilities(rho_opt, setup.psi_rows), counts, norms)
+    opt_nll = _nll_from_probs(_probabilities(setup.design, rho_opt), counts, norms)
     if opt_nll <= seed_nll:
         rho, nll = rho_opt, opt_nll
     else:  # the fit ended above the seed; keep the seed (best so far)
@@ -410,7 +412,7 @@ def time_binned_tomography(histograms, min_counts=100, weights=None):
             ProjectionRecord(p, counts_matrix[i, k], weights.get(p, 1.0))
             for i, p in enumerate(pairs)
         ]
-        tomo_input = TomographyInput(tuple(records), time_bin=(start, first.bin_width))
+        tomo_input = TomographyInput(tuple(records))
         result = mle_reconstruct(tomo_input)
         bins.append(BinReconstruction(start, first.bin_width, total, result, tomo_input))
     return TimeBinnedTomography(bins=bins, skipped=skipped)
@@ -452,7 +454,7 @@ def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
             ProjectionRecord(r.basis_pair, c, r.acquisition_weight)
             for r, c in zip(input.records, resampled)
         )
-        result = mle_reconstruct(TomographyInput(records, input.time_bin))
+        result = mle_reconstruct(TomographyInput(records))
         if not result.converged:
             n_excluded += 1
             continue

@@ -10,6 +10,7 @@ from conftest import make_input
 from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
                        bootstrap_metrics, density_of, import_stream, time_evolved_state)
 from qdcascade import pipeline
+from qdcascade.correlations import cross_correlate
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
 from qdcascade.errors import ParseError, ValidationError
@@ -18,6 +19,7 @@ from qdcascade.io import (read_projection_csv, write_binned_csv, write_histogram
 from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
 from qdcascade.polarization import tomography_bases
 from qdcascade.quantum import rho_from_dict
+from qdcascade.simulate import EmitterConfig, simulate_autocorrelation_run
 from qdcascade.tomography import TomographyInput, expected_probability
 
 
@@ -94,6 +96,17 @@ class TestConfig:
     def test_bad_override_format(self):
         with pytest.raises(ValidationError):
             apply_overrides({}, ["emitter.fss"])
+
+    @pytest.mark.parametrize("formats", [[], ["csv", "binary"]])
+    def test_formats_must_hold_one_entry(self, tmp_path, capsys, formats):
+        with pytest.raises(ValidationError, match="exactly one"):
+            RunConfig.from_dict({"io": {"formats": formats}})
+        path = write_config(tmp_path, n_pulses=2000)
+        rc = main(["simulate", "--config", str(path), "--set",
+                   f"io.formats={json.dumps(formats)}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
@@ -444,6 +457,33 @@ class TestAnalyzeCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["fss_uev"] == pytest.approx(4.6, abs=1e-6)
 
+    def test_g2(self, tmp_path, capsys):
+        # double-exponential peaks every 12.5 ns; the zero-delay peak is 2 %
+        period = 12500.0
+        x = np.arange(-5.5 * period, 5.5 * period, 50.0) + 25.0
+        counts = sum((20.0 if m == 0 else 1000.0) * np.exp(-np.abs(x - m * period) / 1500.0)
+                     for m in range(-6, 7))
+        path = tmp_path / "g2.csv"
+        write_histogram_csv(Histogram(50.0, -5.5 * period, np.round(counts)), path)
+        rc = main(["analyze", "g2", "--histogram", str(path), "--rep-period", "12500"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["g2_zero"] == pytest.approx(0.02, abs=0.002)
+        assert len(out["side_peak_fwhm"]) == 10
+        assert out["window_delta"] == pytest.approx(np.mean(out["side_peak_fwhm"]), rel=1e-9)
+
+    def test_recapture(self, tmp_path, capsys):
+        em = EmitterConfig(recapture_probability=0.36)
+        a, b = simulate_autocorrelation_run(em, "XX", 300_000, 1)
+        path = tmp_path / "center.csv"
+        write_histogram_csv(cross_correlate(a, b, 25.0, 4000.0), path)
+        rc = main(["analyze", "recapture", "--histogram", str(path)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["model"] == "recapture" and out["converged"]
+        assert out["params"]["t_d"] == pytest.approx(em.tau_xx, rel=0.05)
+        assert out["params"]["t_c"] == pytest.approx(em.recapture_time, rel=0.15)
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "result.json"
         main(["analyze", "fss-period", "890", "--out", str(dest)])
@@ -473,6 +513,32 @@ class TestExitCodes:
         monkeypatch.setenv("CASCADE_TOMO_SEED", "abc")
         assert main(["simulate", "--config", str(path)]) == 1
         assert "CASCADE_TOMO_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["g2_missing", "counts_missing", "manifest_missing",
+                                      "manifest_not_json", "meta_not_json",
+                                      "power_not_numeric", "fss_not_numeric"])
+    def test_bad_input_file_is_1(self, tmp_path, capsys, case):
+        cfg = str(write_config(tmp_path, n_pulses=2000))
+        missing = str(tmp_path / "missing.csv")
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "tomo_meta.json").write_text("[1, 2")
+        table = tmp_path / "table.csv"
+        table.write_text("x,y\n1,2\n2,abc\n3,4\n")
+        argv = {
+            "g2_missing": ["analyze", "g2", "--histogram", missing, "--rep-period", "12500"],
+            "counts_missing": ["tomo", "--config", cfg, "--counts", missing],
+            "manifest_missing": ["tomo", "--config", cfg,
+                                 "--manifest", str(tmp_path / "missing.json")],
+            "manifest_not_json": ["tomo", "--config", cfg, "--manifest", str(bad_json)],
+            "meta_not_json": ["report", "--dir", str(tmp_path / "run")],
+            "power_not_numeric": ["analyze", "power", "--data", str(table)],
+            "fss_not_numeric": ["analyze", "fss", "--data", str(table)],
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_success_is_0(self):
         assert main(["analyze", "fss-period", "890"]) == 0

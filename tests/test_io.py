@@ -109,3 +109,16 @@ class TestHistogramCsv:
         path.write_text("bin_start_ps,counts\n0,1\n100,2\n250,3\n")
         with pytest.raises(ValidationError, match="uniform"):
             read_histogram_csv(path)
+
+
+@pytest.mark.parametrize("reader,header,row", [
+    (read_projection_csv, "basis,counts", "HH,1"),
+    (read_projection_csv, "basis,counts,weight,extra", "HH,1,1"),
+    (read_binned_csv, "basis,bin_start_ps,counts,weight", "HH,0,1"),
+    (read_histogram_csv, "bin_start_ps,counts,weight", "0,1"),
+], ids=["projection_short", "projection_long", "binned", "histogram"])
+def test_header_must_match_exactly(tmp_path, reader, header, row):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ParseError, match="bad header"):
+        reader(path)

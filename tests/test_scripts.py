@@ -1,6 +1,8 @@
 import importlib
 import os
 import runpy
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 import qdcascade
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
-BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH = os.path.join(ROOT, "bench")
 
 
 @pytest.mark.parametrize("script,args,expect", [
@@ -38,3 +41,22 @@ def test_every_benchmark_site_resolves(monkeypatch):
     missing = [site.key for site, _ in layers.SITES
                if not callable(getattr(importlib.import_module(site.module), site.attr, None))]
     assert layers.SITES and missing == []
+
+
+@pytest.mark.parametrize("workload", ["closed_loop", "g2_recapture"])
+def test_benchmark_reads_every_layer(workload, tmp_path):
+    # the benchmark's readers bind argument names (input, n_pulses, stream,
+    # path, stream_a, stream_b) of the calls it wraps; a renamed argument
+    # turns its per-layer metrics into "missing". The --tiny gates fail by
+    # design, so only the coverage line is checked. The run happens in a
+    # copy, so its .bench_work and .bench_out stay out of the checkout.
+    for name in ("bench", "src"):
+        shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "coverage PASS: 29 of 29" in proc.stdout, proc.stdout + proc.stderr

@@ -13,7 +13,7 @@ from qdcascade.correlations import Histogram
 from qdcascade.polarization import projector_for, tomography_bases
 from qdcascade import tomography
 from qdcascade.tomography import (ProjectionRecord, TomographyInput,
-                                  _objective_and_grad, _setup_of, _t_from_rho,
+                                  _objective_and_grad, _prepared, _t_from_rho,
                                   bootstrap_metrics,
                                   estimate_normalization, expected_probability,
                                   time_binned_tomography)
@@ -136,9 +136,8 @@ class TestTParameterization:
 
 
 def _objective_args(inp):
-    counts = np.array([r.counts for r in inp.records])
-    _, norms = estimate_normalization(inp)
-    return _setup_of(inp).forms, counts, norms
+    setup, counts, _, norms = _prepared(inp)
+    return setup.forms, counts, norms
 
 
 class TestGradient:
@@ -226,7 +225,7 @@ class TestMLE:
                   671, 648, 1235, 611, 614, 8, 1236, 35, 631, 480, 865, 653,
                   33, 1288, 677, 785, 447, 680, 641, 615, 6, 609, 625, 1278]
         inp = TomographyInput(tuple(ProjectionRecord(l, float(c))
-                                    for l, c in zip(labels, counts)), (5100.0, 100.0))
+                                    for l, c in zip(labels, counts)))
         assert inp.total_counts == 23257
         res = mle_reconstruct(inp)
         assert res.converged
@@ -299,7 +298,7 @@ class TestTimeBinned:
             ProjectionRecord(label, float(hists[label].counts[0]))
             for label in sorted(hists)
         )
-        direct_input = TomographyInput(records, time_bin=(0.0, 100.0))
+        direct_input = TomographyInput(records)
         direct = mle_reconstruct(direct_input)
         assert np.array_equal(out.bins[0].result.rho, direct.rho)
         assert out.bins[0].input == direct_input
