@@ -3,10 +3,11 @@
 Delay histograms count event pairs with t_b - t_a inside half-open bins
 of fixed width. The work is one binary search for each a-event's first
 partner, then one vectorized pass per window occupancy (the most partners
-any event has), so memory scales with events, not with pairs. g2(0)
-follows the side-peak normalization: Lorentzian fits to the side peaks
-set the window width (their mean FWHM), and the zero-delay window sum is
-divided by the mean side-peak window sum.
+any event has), each compacting its events by index, so memory scales
+with events, not with pairs. g2(0) follows the side-peak normalization:
+Lorentzian fits to the side peaks set the window width (their mean
+FWHM), and the zero-delay window sum is divided by the mean side-peak
+window sum.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
 
     Pass k bins the k-th partner of every event whose window still has
     one, so the loop runs once per window occupancy and never holds more
-    than one partner per event.
+    than one partner per event. Each pass compacts its events by one
+    np.flatnonzero index, not a boolean mask, then regathers their partners.
     """
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
@@ -84,12 +86,14 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     a = ta  # the events whose window may still hold partner j
     while j.size:
         t = tb.take(j, mode="clip")  # j == len(tb) is dropped just below
-        keep = (t < a + origin + n_bins * bin_width) & (j < len(tb))
-        t = t[keep]  # one at a time: each old array is freed before the next copy
-        a = a[keep]
-        j = j[keep]
-        idx = np.floor((t - a - origin) / bin_width).astype(np.int64)
-        counts += np.bincount(idx[(idx >= 0) & (idx < n_bins)], minlength=n_bins)
+        keep = np.flatnonzero((t < a + origin + n_bins * bin_width) & (j < len(tb)))
+        del t  # gathered again from tb below: as cheap as compacting it, and one array fewer
+        a = a.take(keep)  # one at a time: each old array is freed before the next copy
+        j = j.take(keep)
+        del keep  # an int64 per event; freed before the bin indices are formed
+        idx = np.floor((tb.take(j) - a - origin) / bin_width).astype(np.int64)
+        # a non-integral origin can put idx at -1 on the window's lower edge
+        counts += np.bincount(np.compress((idx >= 0) & (idx < n_bins), idx), minlength=n_bins)
         j += 1
     return Histogram(bin_width, origin, counts)
 

@@ -34,7 +34,7 @@ _STREAM_EXT = {"binary": "ctts", "csv": "csv"}
 #: Threads that run the per-basis simulation and correlation work. numpy
 #: releases the interpreter lock in its RNG fills, ufuncs, sorts and
 #: searches, so the tasks overlap. At 1M pulses one task peaks at about
-#: 37 MB (simulation) or 30 MB (stream import and correlation).
+#: 37 MB (simulation and export) or 22-29 MB (stream import and correlation).
 _WORKERS = min(4, os.cpu_count() or 1)
 
 
@@ -100,6 +100,11 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
     return manifest_path
 
 
+def _is_records(value, keys):
+    """True when ``value`` is a list of JSON objects that each hold ``keys``."""
+    return isinstance(value, list) and all(isinstance(e, dict) and keys <= e.keys() for e in value)
+
+
 def _histograms_from_manifest(manifest_path, config: RunConfig):
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path) as fh:
@@ -107,7 +112,11 @@ def _histograms_from_manifest(manifest_path, config: RunConfig):
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{manifest_path} is not valid JSON: {exc}") from exc
-    by_basis = {entry["basis"]: entry for entry in manifest.get("files", [])}
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not _is_records(files, {"basis", "xx_file", "x_file"}):
+        raise ValidationError(f"{manifest_path}: expected an object whose 'files' list holds "
+                              "objects with basis, xx_file and x_file")
+    by_basis = {entry["basis"]: entry for entry in files}
     expected = [label for label, _, _ in tomography_bases(config.tomography.basis_count)]
     missing = [label for label in expected if label not in by_basis]
     if missing:
@@ -142,19 +151,12 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
     if len(sources) != 1:
         raise ValidationError("exactly one of manifest, counts_csv or binned_csv is required")
     out_dir = out_dir or config.io.output_dir
-    os.makedirs(os.path.join(out_dir, "bins"), exist_ok=True)
-
     tomo_cfg = config.tomography
     correction = CorrectionUnitary(tomo_cfg.correction.theta, tomo_cfg.correction.phi)
 
     weights, extra_outputs = {}, []
     if manifest:
         histograms = _histograms_from_manifest(manifest, config)
-        os.makedirs(os.path.join(out_dir, "histograms"), exist_ok=True)
-        for label in sorted(histograms):
-            rel = f"histograms/{label}.csv"
-            qio.write_histogram_csv(histograms[label], os.path.join(out_dir, rel))
-            extra_outputs.append(rel)
     elif binned_csv:
         histograms = qio.read_binned_csv(binned_csv)
     else:  # a single projection set is one bin over [0, max_delay_ps)
@@ -166,6 +168,14 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         raise ValidationError(
             f"input has {len(histograms)} basis pairs, config expects {tomo_cfg.basis_count}"
         )
+    # the output tree is made only once the input has been read and checked
+    os.makedirs(os.path.join(out_dir, "bins"), exist_ok=True)
+    if manifest:
+        os.makedirs(os.path.join(out_dir, "histograms"), exist_ok=True)
+        for label in sorted(histograms):
+            rel = f"histograms/{label}.csv"
+            qio.write_histogram_csv(histograms[label], os.path.join(out_dir, rel))
+            extra_outputs.append(rel)
     tomo = time_binned_tomography(histograms, min_counts=tomo_cfg.min_counts_per_bin,
                                   weights=weights)
     skipped = [
@@ -262,6 +272,8 @@ def build_report(meta):
 #: Columns of metrics_vs_time.csv, one row per report bin.
 _METRICS_COLUMNS = ("bin_start_ps", "bin_width_ps", "total_counts", "fidelity",
                     "fidelity_std", "concurrence", "concurrence_std", "converged")
+#: Keys every bin of tomo_meta.json must hold for ``build_report``.
+_META_BIN_KEYS = {*_METRICS_COLUMNS, "rho_file"}
 
 
 def _write_report(meta, out_dir):
@@ -293,5 +305,10 @@ def cmd_report(run_dir):
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read tomo metadata under {run_dir}: {exc}") from exc
+    if not (isinstance(meta, dict) and {"toolkit_version", "config"} <= meta.keys()
+            and _is_records(meta.get("bins"), _META_BIN_KEYS)
+            and isinstance(meta.get("skipped_bins"), list)):
+        raise ValidationError(f"{meta_path}: expected an object with toolkit_version, config, "
+                              "a 'bins' list of bin objects and a 'skipped_bins' list")
     return _write_report(meta, run_dir)
 

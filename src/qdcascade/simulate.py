@@ -126,13 +126,13 @@ def _finalize(times, origins_code, channel, duration_ps, config, rng):
     """Jitter, background, quantization and packaging of one channel."""
     if config.jitter_sigma > 0 and len(times):
         times = times + rng.normal(0.0, config.jitter_sigma, len(times))
-    origin = np.full(len(times), origins_code, dtype=np.uint8)
     bg = _background_times(rng, config.background_rate, duration_ps)
-    times = np.concatenate([times, bg])
-    origin = np.concatenate([origin, np.full(len(bg), _ORIGIN_CODE["background"], np.uint8)])
-    stamps = np.rint(times).astype(np.int64)
-    keep = (stamps >= 0) & (stamps < duration_ps)
-    stamps, origin = stamps[keep], origin[keep]
+    origin = np.full(len(times) + len(bg), origins_code, dtype=np.uint8)
+    origin[len(times):] = _ORIGIN_CODE["background"]
+    times = np.concatenate([times, bg])  # a new array, so it may be rounded in place
+    stamps = np.rint(times, out=times).astype(np.int64)
+    keep = np.flatnonzero((stamps >= 0) & (stamps < duration_ps))
+    stamps, origin = stamps.take(keep), origin.take(keep)
     return TimestampStream(
         np.full(len(stamps), channel, dtype=np.uint8),
         stamps,
@@ -215,10 +215,10 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     # pulse_t becomes the XX emission times, then the X emission times
     pulse_t += d_xx
     del d_xx
-    xx_times = pulse_t[xx_detected]
+    xx_times = np.compress(xx_detected, pulse_t)
     pulse_t += d_x
     del d_x
-    x_times = pulse_t[x_detected]
+    x_times = np.compress(x_detected, pulse_t)
     del pulse_t, xx_detected, x_detected
     xx_stream = _finalize(xx_times, _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
     x_stream = _finalize(x_times, _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
@@ -236,30 +236,30 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
     """
     if species not in ("X", "XX"):
         raise ValidationError(f"species must be 'X' or 'XX', got {species!r}")
-    rng, duration, pulse_t = _start_run(config, n_pulses, seed)
-    m = len(pulse_t)
+    rng, duration, times = _start_run(config, n_pulses, seed)
+    m = len(times)
 
+    # times turns from pulse times into emission times in place (X: XX then X delay)
+    times += rng.exponential(config.tau_xx, m)
     if species == "X":
-        times = pulse_t + rng.exponential(config.tau_xx, m) + rng.exponential(config.tau_x, m)
-        origin = _ORIGIN_CODE["X"]
+        times += rng.exponential(config.tau_x, m)
     else:
-        first = pulse_t + rng.exponential(config.tau_xx, m)
         recaptured = rng.random(m) < config.recapture_probability
         n_re = int(recaptured.sum())
         gate = config.tau_xx * config.recapture_time / (config.tau_xx + config.recapture_time)
         second = (
-            first[recaptured]
+            np.compress(recaptured, times)
             + rng.exponential(config.tau_xx, n_re)
             + rng.exponential(gate, n_re)
         )
-        times = np.concatenate([first, second])
-        origin = _ORIGIN_CODE["XX"]
+        times = np.concatenate([times, second])
+    origin = _ORIGIN_CODE[species]
 
     eff = config.total_efficiency
     detected = rng.random(len(times)) < eff
-    times = times[detected]
+    times = np.compress(detected, times)
     to_a = rng.random(len(times)) < 0.5
 
-    stream_a = _finalize(times[to_a], origin, 0, duration, config, rng)
-    stream_b = _finalize(times[~to_a], origin, 1, duration, config, rng)
+    stream_a = _finalize(np.compress(to_a, times), origin, 0, duration, config, rng)
+    stream_b = _finalize(np.compress(~to_a, times), origin, 1, duration, config, rng)
     return stream_a, stream_b

@@ -94,12 +94,12 @@ def export_stream(stream: TimestampStream, path, fmt="binary", include_truth=Fal
         version = 2 if truth else 1
         records = np.empty(len(stream), dtype=_REC_V2 if truth else _REC_V1)
         records["channel"] = stream.channels
-        records["timestamp"] = stream.timestamps_ps.astype(np.uint64)
+        records["timestamp"] = stream.timestamps_ps  # nonnegative, so the cast is exact
         if truth:
             records["origin"] = stream.origins
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, version, len(stream)))
-            fh.write(records.tobytes())
+            fh.write(records.data)
     elif fmt == "csv":
         with open(path, "w") as fh:
             if truth:
@@ -138,7 +138,7 @@ def import_stream(path, fmt=None) -> TimestampStream:
     channels = np.array(channels, dtype=np.uint8)
     timestamps = np.array(timestamps, dtype=np.int64)
     origins = np.array(origins, dtype=np.uint8) if origins is not None else None
-    in_order = not np.any(np.diff(timestamps) < 0)
+    in_order = not np.any(timestamps[1:] < timestamps[:-1])
     if not in_order:
         warnings.warn(f"{path}: timestamps not sorted; sorting on import")
     duration = float(timestamps.max() + 1) if len(timestamps) else 0.0

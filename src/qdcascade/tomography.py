@@ -261,13 +261,12 @@ def _nll_from_probs(p, counts, norms):
 
 
 def _objective_and_grad(t, forms, counts, norms):
-    """L(t), its gradient and its Hessian in the 16 Cholesky parameters.
+    """L(t), its gradient in the 16 Cholesky parameters and the terms ``_hessian`` takes.
 
     With G = M t (row v = M_v t), s = t.t and p_v = t.G_v / s, the
-    Jacobian of p is D = (2/s)(G - p t^T), the gradient is D^T L'(p)
-    and the Hessian is D^T diag(L''(p)) D + (2/s)(sum_v L'_v M_v -
-    (L'.p) I) - (2/s)(t grad^T + grad t^T). Below PROBABILITY_FLOOR the
-    objective is the quadratic that the floored denominator makes it.
+    Jacobian of p is D = (2/s)(G - p t^T) and the gradient is D^T L'(p).
+    Below PROBABILITY_FLOOR the objective is the quadratic that the
+    floored denominator makes it.
     """
     G = forms @ t
     s = float(t @ t)
@@ -277,14 +276,18 @@ def _objective_and_grad(t, forms, counts, norms):
     val = _nll_from_probs(p, counts, norms)
     d1 = np.where(low, (norms * p - counts) / PROBABILITY_FLOOR,
                   norms / 2.0 - counts**2 / (2.0 * norms * q**2))
-    d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * q**3))
-
     jac = (2.0 / s) * (G - p[:, None] * t)
-    grad = d1 @ jac
+    return val, d1 @ jac, (s, p, q, low, d1, jac)
+
+
+def _hessian(t, grad, terms, forms, counts, norms):
+    """Hessian of L at t, D^T diag(L''(p)) D + (2/s)(sum_v L'_v M_v - (L'.p) I)
+    - (2/s)(t grad^T + grad t^T), from the terms ``_objective_and_grad`` formed at t."""
+    s, p, q, low, d1, jac = terms
+    d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * q**3))
     curv = np.tensordot(d1, forms, axes=1) - float(d1 @ p) * np.eye(16)
     cross = np.outer(t, grad)
-    hess = (jac.T * d2) @ jac + (2.0 / s) * (curv - cross - cross.T)
-    return val, grad, hess
+    return (jac.T * d2) @ jac + (2.0 / s) * (curv - cross - cross.T)
 
 
 def mle_reconstruct(input: TomographyInput):
@@ -301,8 +304,9 @@ def mle_reconstruct(input: TomographyInput):
     1e-14 of its value, or when the damped step no longer moves t (no
     damping gives a decrease). ``iterations`` counts the steps tried,
     taken or not; ``converged`` is False only when _MAX_ITERATIONS runs
-    out. Returns the better of the fit and the seed, so the result is
-    never worse than the seed.
+    out. The Hessian is formed only at the seed and at taken steps.
+    Returns the better of the fit and the seed, so the result is never
+    worse than the seed.
     """
     setup, counts, _, norms = _prepared(input)
     rho_seed = project_physical(_linear_inversion(setup, counts, norms))
@@ -313,8 +317,8 @@ def mle_reconstruct(input: TomographyInput):
         t = np.ones(16)
     t = t / np.linalg.norm(t)
 
-    val, grad, hess = _objective_and_grad(t, setup.forms, counts, norms)
-    evals, evecs = np.linalg.eigh(hess)
+    val, grad, terms = _objective_and_grad(t, setup.forms, counts, norms)
+    evals, evecs = np.linalg.eigh(_hessian(t, grad, terms, setup.forms, counts, norms))
     lam = 1e-6 * np.abs(evals).max()
     iterations, converged = 0, False
     while iterations < _MAX_ITERATIONS:
@@ -328,14 +332,14 @@ def mle_reconstruct(input: TomographyInput):
         trial = t + step
         trial /= np.linalg.norm(trial)
         iterations += 1
-        trial_val, trial_grad, trial_hess = _objective_and_grad(trial, setup.forms, counts, norms)
+        trial_val, trial_grad, terms = _objective_and_grad(trial, setup.forms, counts, norms)
         if trial_val < val:
             small = val - trial_val <= 1e-14 * val
             t, val, grad = trial, trial_val, trial_grad
             if small:
                 converged = True
                 break
-            evals, evecs = np.linalg.eigh(trial_hess)
+            evals, evecs = np.linalg.eigh(_hessian(t, grad, terms, setup.forms, counts, norms))
             lam /= 4.0
         else:
             lam *= 8.0

@@ -540,5 +540,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["counts_missing", "binned_missing", "wrong_pair_count"])
+    def test_bad_tomo_input_makes_no_output_tree(self, tmp_path, case):
+        cfg = str(write_config(tmp_path, n_pulses=2000))
+        csv = tmp_path / "input.csv"
+        write_binned_csv(dict(list(binned_histograms(2).items())[:16]), csv)
+        source = {"counts_missing": ["--counts", str(tmp_path / "missing.csv")],
+                  "binned_missing": ["--binned", str(tmp_path / "missing.csv")],
+                  "wrong_pair_count": ["--binned", str(csv)]}[case]
+        out = tmp_path / "o2"
+        assert main(["tomo", "--config", cfg, *source, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["manifest_list", "manifest_no_files", "entry_no_basis",
+                                      "entry_not_object", "meta_empty", "meta_list",
+                                      "meta_bin_no_fidelity"])
+    def test_malformed_json_is_1(self, tmp_path, capsys, case):
+        cfg = str(write_config(tmp_path, n_pulses=2000))
+        entry = {"basis": "HH", "xx_file": "streams/HH_xx.ctts", "x_file": "streams/HH_x.ctts"}
+        bin_ = {"bin_start_ps": 0.0, "bin_width_ps": 100.0, "total_counts": 5,
+                "fidelity_std": None, "concurrence": 0.5, "concurrence_std": None,
+                "converged": True, "rho_file": "bins/bin_0000.json"}
+        meta = {"toolkit_version": "0", "config": {}, "skipped_bins": []}
+        document = {
+            "manifest_list": [],
+            "manifest_no_files": {"basis_count": 36},
+            "entry_no_basis": {"files": [{k: v for k, v in entry.items() if k != "basis"}]},
+            "entry_not_object": {"files": [entry, "HV"]},
+            "meta_empty": {},
+            "meta_list": [meta],
+            "meta_bin_no_fidelity": {**meta, "bins": [bin_]},
+        }[case]
+        path = tmp_path / ("run/tomo_meta.json" if case.startswith("meta") else "manifest.json")
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(document))
+        argv = (["report", "--dir", str(path.parent)] if case.startswith("meta")
+                else ["tomo", "--config", cfg, "--manifest", str(path)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_success_is_0(self):
         assert main(["analyze", "fss-period", "890"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -153,3 +154,20 @@ def test_simulated_export_is_deterministic(tmp_path):
         xx, _ = simulate_projection_run(cfg, "DD", 10_000, seed=seed)
         export_stream(xx, tmp_path / f"{name}.ctts", "binary")
     assert (tmp_path / "a.ctts").read_bytes() == (tmp_path / "b.ctts").read_bytes()
+
+
+# SHA-256 of the binary file, recorded when export converted the timestamps
+# to uint64 in a temporary and wrote records.tobytes()
+@pytest.mark.parametrize("include_truth,digest", [
+    (False, "29187d9602fe181bb36bfdc2be7a5d1702c7e4224da39d81057b8b845e77b8dc"),
+    (True, "fcd0c77f655abf8d8d71856c399dea955aa301fe0e857b6453043bb98017dff1"),
+], ids=["v1", "v2-truth"])
+def test_simulated_export_is_pinned(tmp_path, include_truth, digest):
+    cfg = EmitterConfig(setup_efficiency=0.6, detector_efficiency=0.7,
+                        background_rate=2e5, jitter_sigma=35.0)
+    xx, _ = simulate_projection_run(cfg, "DA", 20_000, seed=13)
+    path = tmp_path / "xx.ctts"
+    export_stream(xx, path, "binary", include_truth=include_truth)
+    data = path.read_bytes()
+    assert _HEADER.unpack(data[:_HEADER.size]) == (MAGIC, 2 if include_truth else 1, len(xx))
+    assert hashlib.sha256(data).hexdigest() == digest
