@@ -9,7 +9,7 @@ from typing import Optional
 
 from .errors import ValidationError
 from .polarization import ARMS
-from .simulate import EmitterConfig
+from .simulate import EmitterConfig, _is_integer
 
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
 
@@ -56,8 +56,10 @@ class SimulationConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_pulses < 0:
-            raise ValidationError("n_pulses must be nonnegative")
+        if not (_is_integer(self.n_pulses) and self.n_pulses >= 0):
+            raise ValidationError("n_pulses must be a nonnegative integer")
+        if not (self.seed is None or _is_integer(self.seed) and self.seed >= 0):
+            raise ValidationError("seed must be a nonnegative integer")
         if self.n_pulses > 0 and self.seed is None:
             raise ValidationError("a seed is required whenever simulation is requested")
 

@@ -33,8 +33,8 @@ _STREAM_EXT = {"binary": "ctts", "csv": "csv"}
 
 #: Threads that run the per-basis simulation and correlation work. numpy
 #: releases the interpreter lock in its RNG fills, ufuncs, sorts and
-#: searches, so the tasks overlap. At 1M pulses one task peaks at about
-#: 37 MB (simulation and export) or 22-29 MB (stream import and correlation).
+#: searches, so the tasks overlap. At 1M pulses one task peaks at 34-37 MB
+#: (simulation and export) or 22-29 MB (stream import and correlation).
 _WORKERS = min(4, os.cpu_count() or 1)
 
 

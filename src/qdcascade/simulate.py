@@ -19,11 +19,17 @@ the double-sided-decay-with-dip shape seen in the center peak of the
 biexciton autocorrelation, with t_c = ``recapture_time``.
 
 All generators are deterministic for a fixed (config, seed) and emit
-integer-picosecond timestamps.
+integer-picosecond timestamps. A Bernoulli draw whose outcome is certain
+(probability 0 or 1) is not made: the generator is advanced past it
+instead, so every later draw is the same as if it had been made. Each
+channel is sorted once, in ``_finalize``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +112,30 @@ def _orthogonal_vector(v):
     return np.array([-np.conj(v[1]), np.conj(v[0])])
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _draws_below(rng, m, p):
+    """``rng.random(m) < p``, or the bool True (p >= 1) or False (p <= 0)
+    when every draw is certain; then the m draws are skipped by advancing
+    the generator, which takes one 64-bit output per double."""
+    if 0.0 < p < 1.0:
+        return rng.random(m) < p
+    rng.bit_generator.advance(m)
+    return p >= 1.0
+
+
 def _start_run(config, n_pulses, seed):
     """Check ``n_pulses``; return the run's generator, its duration (ps) and
     the start times (ps) of the pulses that excite the dot, in pulse order."""
-    if n_pulses < 0:
-        raise ValidationError("n_pulses must be nonnegative")
+    if not _is_integer(n_pulses) or n_pulses < 0:
+        raise ValidationError("n_pulses must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     period = config.rep_period_ps
-    excited = rng.random(n_pulses) < config.excitation_fraction
-    return rng, n_pulses * period, np.nonzero(excited)[0] * period
+    excited = _draws_below(rng, n_pulses, config.excitation_fraction)
+    pulses = np.arange(n_pulses) if excited is True else np.flatnonzero(excited)
+    return rng, n_pulses * period, pulses * period
 
 
 def _background_times(rng, rate_cps, duration_ps):
@@ -123,7 +144,10 @@ def _background_times(rng, rate_cps, duration_ps):
 
 
 def _finalize(times, origins_code, channel, duration_ps, config, rng):
-    """Jitter, background, quantization and packaging of one channel."""
+    """Jitter, background, quantization and packaging of one channel.
+
+    The channel is sorted here, once: the events in [0, duration) are a slice
+    of the stably sorted stamps, as if they were filtered and then sorted."""
     if config.jitter_sigma > 0 and len(times):
         times = times + rng.normal(0.0, config.jitter_sigma, len(times))
     bg = _background_times(rng, config.background_rate, duration_ps)
@@ -131,14 +155,12 @@ def _finalize(times, origins_code, channel, duration_ps, config, rng):
     origin[len(times):] = _ORIGIN_CODE["background"]
     times = np.concatenate([times, bg])  # a new array, so it may be rounded in place
     stamps = np.rint(times, out=times).astype(np.int64)
-    keep = np.flatnonzero((stamps >= 0) & (stamps < duration_ps))
-    stamps, origin = stamps.take(keep), origin.take(keep)
-    return TimestampStream(
-        np.full(len(stamps), channel, dtype=np.uint8),
-        stamps,
-        duration_ps,
-        origins=origin,
-    )
+    order = np.argsort(stamps, kind="stable")
+    stamps, origin = stamps.take(order), origin.take(order)
+    # the stamps are integers, so stamp < duration_ps is stamp < ceil(duration_ps)
+    lo, hi = np.searchsorted(stamps, (0, math.ceil(duration_ps)))
+    return TimestampStream(np.full(hi - lo, channel, dtype=np.uint8), stamps[lo:hi],
+                           duration_ps, origins=origin[lo:hi], _sorted=True)
 
 
 def _joint_outcomes(a, b, fss, d_x, u):
@@ -164,25 +186,31 @@ def _joint_outcomes(a, b, fss, d_x, u):
     use_sin = any(s for _, _, s in rows)
     # Every step is elementwise, so working through the pulses in blocks
     # gives the same bits as whole arrays while holding (4, _BLOCK) sums.
+    # With no oscillating term (H or V in either arm) the running sums are
+    # scalars, made by the same additions as the rows below.
     m = len(d_x)
     outcome = np.empty(m, dtype=np.int8)
-    cum_buf = np.empty((4, min(m, _BLOCK)))
-    term_buf = np.empty(min(m, _BLOCK))
+    oscillates = use_cos or use_sin
+    if oscillates:
+        cum_buf, term_buf = np.empty((4, min(m, _BLOCK))), np.empty(min(m, _BLOCK))
+    else:
+        cum = list(itertools.accumulate(const for const, _, _ in rows))
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        cum, term = cum_buf[:, :hi - lo], term_buf[:hi - lo]
-        phi = fss * d_x[lo:hi] / HBAR_UEV_PS
-        cos_phi = np.cos(phi) if use_cos else None
-        sin_phi = np.sin(phi) if use_sin else None
-        for k, (const, c, s) in enumerate(rows):
-            row = cum[k]
-            row.fill(const)
-            if c:
-                row += np.multiply(cos_phi, c, out=term)
-            if s:
-                row += np.multiply(sin_phi, s, out=term)
-            if k:
-                row += cum[k - 1]
+        if oscillates:
+            cum, term = cum_buf[:, :hi - lo], term_buf[:hi - lo]
+            phi = fss * d_x[lo:hi] / HBAR_UEV_PS
+            cos_phi = np.cos(phi) if use_cos else None
+            sin_phi = np.sin(phi) if use_sin else None
+            for k, (const, c, s) in enumerate(rows):
+                row = cum[k]
+                row.fill(const)
+                if c:
+                    row += np.multiply(cos_phi, c, out=term)
+                if s:
+                    row += np.multiply(sin_phi, s, out=term)
+                if k:
+                    row += cum[k - 1]
         u_blk = u[lo:hi]
         u_blk *= cum[-1]
         outcome[lo:hi] = (u_blk >= cum[0]).astype(np.int8) + (u_blk >= cum[1]) + (u_blk >= cum[2])
@@ -205,11 +233,10 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     outcome = _joint_outcomes(a, b, config.fss, d_x, rng.random(m))
 
     # outcomes 0 and 1 pass the XX arm (a), outcomes 0 and 2 the X arm (b);
-    # both efficiency draws are made even when eff == 1, so the draws that
-    # follow do not depend on the efficiency
+    # a certain efficiency draw is a bool, which ``&`` broadcasts
     eff = config.total_efficiency
-    xx_detected = (outcome <= 1) & (rng.random(m) < eff)
-    x_detected = ((outcome & 1) == 0) & (rng.random(m) < eff)
+    xx_detected = (outcome <= 1) & _draws_below(rng, m, eff)
+    x_detected = ((outcome & 1) == 0) & _draws_below(rng, m, eff)
     del outcome
 
     # pulse_t becomes the XX emission times, then the X emission times
@@ -244,20 +271,18 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
     if species == "X":
         times += rng.exponential(config.tau_x, m)
     else:
-        recaptured = rng.random(m) < config.recapture_probability
-        n_re = int(recaptured.sum())
-        gate = config.tau_xx * config.recapture_time / (config.tau_xx + config.recapture_time)
-        second = (
-            np.compress(recaptured, times)
-            + rng.exponential(config.tau_xx, n_re)
-            + rng.exponential(gate, n_re)
-        )
-        times = np.concatenate([times, second])
+        recaptured = _draws_below(rng, m, config.recapture_probability)
+        if recaptured is not False:
+            first = times if recaptured is True else np.compress(recaptured, times)
+            gate = config.tau_xx * config.recapture_time / (config.tau_xx + config.recapture_time)
+            second = (first + rng.exponential(config.tau_xx, len(first))
+                      + rng.exponential(gate, len(first)))
+            times = np.concatenate([times, second])
     origin = _ORIGIN_CODE[species]
 
-    eff = config.total_efficiency
-    detected = rng.random(len(times)) < eff
-    times = np.compress(detected, times)
+    detected = _draws_below(rng, len(times), config.total_efficiency)
+    if detected is not True:
+        times = np.compress(detected, times)
     to_a = rng.random(len(times)) < 0.5
 
     stream_a = _finalize(np.compress(to_a, times), origin, 0, duration, config, rng)

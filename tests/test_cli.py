@@ -514,6 +514,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "CASCADE_TOMO_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("n_pulses", 1000.0), ("n_pulses", 1000.5),
+                                             ("n_pulses", True), ("seed", 1.5), ("seed", True),
+                                             ("seed", -1)])
+    def test_bad_simulation_value_is_1(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, **{"n_pulses": 1000, "seed": 7, field: value})
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("case", ["g2_missing", "counts_missing", "manifest_missing",
                                       "manifest_not_json", "meta_not_json",
                                       "power_not_numeric", "fss_not_numeric"])

@@ -11,7 +11,8 @@ from scipy import stats
 from qdcascade import (HBAR_UEV_PS, RunConfig, ValidationError, cross_correlate,
                        density_of, time_evolved_state)
 from qdcascade.polarization import ORTHOGONAL, projector_for
-from qdcascade.simulate import (EmitterConfig, simulate_autocorrelation_run,
+from qdcascade import simulate
+from qdcascade.simulate import (EmitterConfig, _draws_below, simulate_autocorrelation_run,
                                 simulate_projection_run)
 from qdcascade.tomography import expected_probability
 
@@ -184,7 +185,9 @@ ELLIPTICAL = (np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),
 # (150,000 pulses). Of the closed form's oscillating terms HH uses neither,
 # DA and RL only the cosine, LD only the sine and ELLIPTICAL both. The
 # simulator works through the pulses in blocks of 65,536, so the 150,000-pulse
-# runs cross block boundaries and end in a partial block.
+# runs cross block boundaries and end in a partial block. HD and RV, recorded
+# before the simulator summed constant rows as scalars, have constant joint
+# probabilities of 1/4; the two runs of equal length draw the same bytes.
 PINNED_DIGESTS = [
     pytest.param(DEFAULTS, "HH", 20_000, "88cc845ddfcce3377f893849862923828f2a084726d69baffdbc99537c1a54f8",
                  id="default-HH"),
@@ -222,6 +225,14 @@ PINNED_DIGESTS = [
                  id="lossy-RL-150k"),
     pytest.param(LOSSY, "LD", 150_000, "12bce017d1c13c92c14343efac3f38f7b5b6e575f5be906ba3e96571d08d41c3",
                  id="lossy-LD-150k"),
+    pytest.param(DEFAULTS, "HD", 150_000, "d75f41127a33afff509fb35115a34bb96746c5548f27a5bbafbb0f792ed7ebe9",
+                 id="default-HD-150k"),
+    pytest.param(LOSSY, "HD", 20_000, "aab332d2d9cc10b4853dde170b5c6be1ebadad95c34b1eb26dafe8fac55a8edf",
+                 id="lossy-HD"),
+    pytest.param(DEFAULTS, "RV", 20_000, "6665bf30e6c264a6495a56ccad979440a7ab794ed41e9a2c5bd60f404337ed47",
+                 id="default-RV"),
+    pytest.param(LOSSY, "RV", 150_000, "ab98326bc2f54c2b0ba0670fa4a794888c2b8c0e818926039c83571187708596",
+                 id="lossy-RV-150k"),
 ]
 
 
@@ -232,6 +243,52 @@ def test_projection_run_output_is_pinned(config, pair, n_pulses, digest):
         h.update(stream.timestamps_ps.tobytes())
         h.update(stream.origins.tobytes())
     assert h.hexdigest() == digest
+
+
+def test_projection_run_drops_events_outside_the_run(monkeypatch):
+    # Jitter of eight periods pushes photons of the first and last pulses
+    # outside the run on both channels. The spy redoes each channel's jitter
+    # on a copy of the generator to count them. The digest was recorded when
+    # the simulator dropped those events before sorting.
+    config = EmitterConfig(tau_x=1e5, jitter_sigma=1e5)
+    finalize = simulate._finalize
+    outside = []
+
+    def spy(times, origins_code, channel, duration_ps, config, rng):
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        stamps = np.rint(times + twin.normal(0.0, config.jitter_sigma, len(times)))
+        outside.append((int(np.sum(stamps < 0)), int(np.sum(stamps >= duration_ps))))
+        return finalize(times, origins_code, channel, duration_ps, config, rng)
+
+    monkeypatch.setattr(simulate, "_finalize", spy)
+    xx, x = simulate_projection_run(config, "VV", 2000, seed=11)
+    assert len(outside) == 2 and min(min(ends) for ends in outside) > 0
+    h = hashlib.sha256()
+    for stream in (xx, x):
+        h.update(stream.timestamps_ps.tobytes())
+        h.update(stream.origins.tobytes())
+    assert h.hexdigest() == "e0357707a198432d1139a47c64caed12072807f986f531779ceef0fd41467e99"
+
+
+@pytest.mark.parametrize("m,p", [(1000, 1.0), (1000, 0.0), (0, 1.0), (0, 0.0), (1000, 0.3)])
+def test_draws_below_leaves_the_generator_as_random_does(m, p):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    rng.exponential(1.0, 7)
+    ref.exponential(1.0, 7)
+    passed = _draws_below(rng, m, p)
+    assert np.array_equal(np.broadcast_to(passed, (m,)), ref.random(m) < p)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n_pulses", [1000.0, 1000.5, True])
+@pytest.mark.parametrize("run", [lambda n: simulate_projection_run(DEFAULTS, "HH", n, seed=1),
+                                 lambda n: simulate_autocorrelation_run(DEFAULTS, "X", n, seed=1)],
+                         ids=["projection", "autocorrelation"])
+def test_non_integer_n_pulses_is_rejected(run, n_pulses):
+    with pytest.raises(ValidationError, match="n_pulses"):
+        run(n_pulses)
 
 
 def test_projection_run_peak_memory():
@@ -314,6 +371,15 @@ class TestAutocorrelationRun:
         pytest.param(EmitterConfig(recapture_probability=0.36), "XX",
                      "8c32f65b4e8f532e236b319033c584d922311613c918a6d21000f6011725395b",
                      id="XX-recapture"),
+        pytest.param(EmitterConfig(excitation_fraction=0.8, setup_efficiency=0.6), "X",
+                     "0a849248ca7a47b6ff9d2e1a274032106397bf98776049967d0377b8f2abe4e0",
+                     id="X-lossy"),
+        pytest.param(EmitterConfig(excitation_fraction=0.8, setup_efficiency=0.6), "XX",
+                     "24e94057cf12ff6b169cde9dda67df544c2b9c9558cf0e652f01ebf696c40724",
+                     id="XX-lossy"),
+        pytest.param(EmitterConfig(recapture_probability=0.0), "XX",
+                     "c31729e8d1e0b48e7230ef5b4e84e3ddb59ec1ff2a157fef6b383641a5d7e634",
+                     id="XX-no-recapture"),
     ])
     def test_output_is_pinned(self, config, species, digest):
         h = hashlib.sha256()
