@@ -4,7 +4,8 @@
 Generates 36 projection runs for a dot with a 4.65 ueV splitting,
 correlates each into delay histograms, reconstructs one density matrix
 per 100 ps bin and prints the headline numbers (peak fidelity and
-concurrence, oscillation period). Outputs land in --out, ready for
+concurrence, each with the bootstrap sd of that bin when --bootstrap is
+at least 2, and the oscillation period). Outputs land in --out, ready for
 external plotting (metrics_vs_time.csv, histograms/*.csv).
 """
 
@@ -43,8 +44,9 @@ def main():
 
     best_f = report["max_fidelity"]
     best_c = report["max_concurrence"]
-    print(f"peak fidelity    {best_f['value']:.4f} at {best_f['bin_start_ps']:.0f} ps")
-    print(f"peak concurrence {best_c['value']:.4f} at {best_c['bin_start_ps']:.0f} ps")
+    for label, best in (("fidelity   ", best_f), ("concurrence", best_c)):
+        sd = "" if best["std"] is None else f" +- {best['std']:.4f}"
+        print(f"peak {label} {best['value']:.4f}{sd} at {best['bin_start_ps']:.0f} ps")
     osc = report["fits"]["fidelity_oscillation"]
     if osc and osc["converged"]:
         period = abs(osc["params"]["P"])

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .errors import ValidationError
 from .polarization import ARMS
-from .simulate import EmitterConfig, _is_integer
+from .simulate import EmitterConfig, _is_integer, _require_finite
 
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
 
@@ -21,6 +21,7 @@ class CorrectionConfig:
     arms: str = "both"
 
     def __post_init__(self):
+        _require_finite(self, ("theta", "phi"))
         if self.arms not in ARMS:
             raise ValidationError(f"correction arms must be one of {ARMS}")
 
@@ -42,6 +43,9 @@ class TomographyConfig:
     correction: CorrectionConfig = field(default_factory=CorrectionConfig)
 
     def __post_init__(self):
+        _require_finite(self, ("bin_width_ps", "max_delay_ps", "min_counts_per_bin"))
+        if not _is_integer(self.bootstrap_samples):
+            raise ValidationError("bootstrap_samples must be an integer")
         if self.basis_count not in (16, 36):
             raise ValidationError("basis_count must be 16 or 36")
         if self.bin_width_ps <= 0 or self.max_delay_ps <= 0:

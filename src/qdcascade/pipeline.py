@@ -20,7 +20,7 @@ import numpy as np
 from . import io as qio
 from .config import RunConfig
 from .correlations import Histogram, cross_correlate
-from .errors import ValidationError
+from .errors import FitError, ValidationError
 from .fitting import fit_model
 from .polarization import CorrectionUnitary, apply_correction, tomography_bases
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
@@ -264,7 +264,7 @@ def build_report(meta):
         try:
             fit = fit_model("sinusoid", x, y)
             report["fits"]["fidelity_oscillation"] = asdict(fit)
-        except Exception:
+        except (FitError, ValidationError):
             report["fits"]["fidelity_oscillation"] = None
     return report
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,6 +71,7 @@ class EmitterConfig:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self)])
         if self.fss < 0:
             raise ValidationError("fss must be nonnegative")
         for name in ("tau_xx", "tau_x", "recapture_time", "rep_rate"):
@@ -114,6 +115,15 @@ def _orthogonal_vector(v):
 
 def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_finite(obj, names):
+    """Raise ValidationError unless every named attribute of obj is a finite real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 def _draws_below(rng, m, p):

@@ -13,7 +13,7 @@ from qdcascade import pipeline
 from qdcascade.correlations import cross_correlate
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
-from qdcascade.errors import ParseError, ValidationError
+from qdcascade.errors import FitError, ParseError, ValidationError
 from qdcascade.io import (read_projection_csv, write_binned_csv, write_histogram_csv,
                           write_projection_csv)
 from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
@@ -345,6 +345,24 @@ class TestTomoCommand:
                            out_dir=str(tmp_path / "boot2"))
         assert report["bins"] == report2["bins"]
 
+    def test_oscillation_fit_failure_gives_null(self, monkeypatch):
+        meta = {**NULL_BIN_META, "bins": [
+            {**NULL_BIN_META["bins"][0], "bin_start_ps": 100.0 * k, "bin_width_ps": 100.0}
+            for k in range(8)]}
+
+        def failing(*args, **kwargs):
+            raise FitError("no convergence")
+
+        monkeypatch.setattr(pipeline, "fit_model", failing)
+        assert pipeline.build_report(meta)["fits"]["fidelity_oscillation"] is None
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a programming error")
+
+        monkeypatch.setattr(pipeline, "fit_model", broken)
+        with pytest.raises(RuntimeError):
+            pipeline.build_report(meta)
+
     def test_csv_stream_format_round_trips(self, tmp_path):
         config = RunConfig.from_dict({
             "tomography": {"max_delay_ps": 3000.0},
@@ -522,6 +540,31 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "emitter.fss", "NaN"), ("simulate", "emitter.fss", "Infinity"),
+        ("simulate", "emitter.jitter_sigma", "NaN"),
+        ("simulate", "emitter.background_rate", "NaN"),
+        ("simulate", "emitter.tau_x", "true"),
+        ("tomo", "tomography.correction.theta", "abc"),
+        ("tomo", "tomography.correction.theta", "NaN"),
+        ("tomo", "tomography.correction.phi", "Infinity"),
+        ("tomo", "tomography.bin_width_ps", "NaN"),
+        ("tomo", "tomography.max_delay_ps", "Infinity"),
+        ("tomo", "tomography.min_counts_per_bin", "NaN"),
+        ("tomo", "tomography.bootstrap_samples", "2.5"),
+    ])
+    def test_bad_config_value_is_1_with_no_output(self, tmp_path, capsys, command, key, value):
+        cfg = str(write_config(tmp_path, n_pulses=2000))
+        csv = tmp_path / "binned.csv"
+        write_binned_csv(binned_histograms(2), csv)
+        source = ["--binned", str(csv)] if command == "tomo" else []
+        out = tmp_path / "o3"
+        argv = [command, "--config", cfg, "--set", f"{key}={value}", *source, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key.split(".")[-1] in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["g2_missing", "counts_missing", "manifest_missing",
                                       "manifest_not_json", "meta_not_json",
