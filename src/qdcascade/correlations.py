@@ -1,10 +1,13 @@
 """Coincidence histogramming and the pulsed g2(0) procedure.
 
 Delay histograms count event pairs with t_b - t_a inside half-open bins
-of fixed width. The work is one binary search for each a-event's first
-partner, then one vectorized pass per window occupancy (the most partners
-any event has), each compacting its events by index, so memory scales
-with events, not with pairs. g2(0) follows the side-peak normalization:
+of fixed width. The a-events are cut into chunks of about 65,536 that
+the threads of the package's one pool (``pool.map_helped``) correlate
+at once. Each chunk is one binary search
+for each event's first partner, then one vectorized pass per window
+occupancy (the most partners any event has), each compacting its events
+by index, so memory scales with the events of the chunks in flight, not
+with pairs. g2(0) follows the side-peak normalization:
 Lorentzian fits to the side peaks set the window width (their mean
 FWHM), and the zero-delay window sum is divided by the mean side-peak
 window sum.
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, FitError, ValidationError
 from .fitting import fit_model, poisson_weights
+from .pool import map_helped
 from .streams import TimestampStream
 
 
@@ -58,6 +62,11 @@ def _sorted_timestamps(stream_or_array):
     return np.sort(np.asarray(stream_or_array).astype(np.int64))
 
 
+#: Events of the first stream per correlation chunk: a chunk's per-pass
+#: arrays (0.5 MB per int64 array) stay in cache.
+_CHUNK = 65_536
+
+
 def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     """Histogram of delays t_b - t_a over [-max_delay, +max_delay).
 
@@ -65,10 +74,12 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     interpreted as integer picoseconds and inputs need not be sorted.
     An empty input yields an all-zero histogram and a warning.
 
-    Pass k bins the k-th partner of every event whose window still has
-    one, so the loop runs once per window occupancy and never holds more
-    than one partner per event. Each pass compacts its events by one
-    np.flatnonzero index, not a boolean mask, then regathers their partners.
+    The sorted a-events are cut into contiguous chunks of about
+    ``_CHUNK`` events, which the pool's threads correlate against all of
+    stream b (``pool.map_helped``); a call made on a busy pool's thread
+    runs its chunks itself. Each event's pairs do not depend on its chunk
+    and the chunk counts are integers, so their sum is the same histogram
+    on any number of threads.
     """
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
@@ -76,11 +87,29 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     tb = _sorted_timestamps(stream_b)
     n_bins = int(np.ceil(2.0 * max_delay / bin_width - 1e-9))
     origin = -float(max_delay)
-    counts = np.zeros(n_bins, dtype=np.int64)
     if len(ta) == 0 or len(tb) == 0:
         warnings.warn("cross_correlate: empty stream, returning zero histogram")
-        return Histogram(bin_width, origin, counts)
+        return Histogram(bin_width, origin, np.zeros(n_bins, dtype=np.int64))
 
+    n_chunks = -(-len(ta) // _CHUNK)
+    edges = [k * len(ta) // n_chunks for k in range(n_chunks + 1)]
+
+    def chunk_counts(k):
+        return _delay_counts(ta[edges[k]:edges[k + 1]], tb, origin, n_bins, bin_width)
+
+    counts = np.sum(map_helped(chunk_counts, range(n_chunks)), axis=0)
+    return Histogram(bin_width, origin, counts)
+
+
+def _delay_counts(ta, tb, origin, n_bins, bin_width):
+    """Delay counts of the sorted events ``ta`` against all of sorted ``tb``.
+
+    Pass k bins the k-th partner of every event whose window still has
+    one, so the loop runs once per window occupancy and never holds more
+    than one partner per event. Each pass compacts its events by one
+    np.flatnonzero index, not a boolean mask, then regathers their partners.
+    """
+    counts = np.zeros(n_bins, dtype=np.int64)
     # tb holds integers, so tb >= ta + origin exactly when tb >= ceil(ta + origin)
     j = np.searchsorted(tb, np.ceil(ta + origin).astype(np.int64))  # first partner
     a = ta  # the events whose window may still hold partner j
@@ -95,7 +124,7 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
         # a non-integral origin can put idx at -1 on the window's lower edge
         counts += np.bincount(np.compress((idx >= 0) & (idx < n_bins), idx), minlength=n_bins)
         j += 1
-    return Histogram(bin_width, origin, counts)
+    return counts
 
 
 @dataclass
@@ -143,7 +172,7 @@ def g2_zero(hist: Histogram, rep_period, n_side_peaks=5):
         try:
             fit = fit_model("lorentzian", x, y, weights=poisson_weights(y),
                             init={"x0": nominal})
-        except Exception as exc:
+        except (FitError, ValidationError) as exc:
             raise ComputationError(f"side peak {m}: Lorentzian fit failed: {exc}") from exc
         if not fit.converged:
             raise ComputationError(f"side peak {m}: Lorentzian fit did not converge")

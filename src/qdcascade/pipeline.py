@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +22,7 @@ from .correlations import Histogram, cross_correlate
 from .errors import FitError, ValidationError
 from .fitting import fit_model
 from .polarization import CorrectionUnitary, apply_correction, tomography_bases
+from .pool import map_helped
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
 from .streams import export_stream, import_stream
@@ -31,36 +31,18 @@ from .version import __version__
 
 _STREAM_EXT = {"binary": "ctts", "csv": "csv"}
 
-#: Threads that run the per-basis simulation and correlation work. numpy
-#: releases the interpreter lock in its RNG fills, ufuncs, sorts and
-#: searches, so the tasks overlap. At 1M pulses one task peaks at 34-37 MB
-#: (simulation and export) or 22-29 MB (stream import and correlation).
-_WORKERS = min(4, os.cpu_count() or 1)
-
 
 def _child_seed(seed, index):
     return index if seed is None else [int(seed), index]
-
-
-def _map_in_pool(fn, items):
-    """``[fn(item) for item in items]``, run on ``_WORKERS`` threads.
-
-    Results keep the order of ``items``. The first exception, in that
-    order, is raised here, and work not yet started is cancelled.
-    """
-    pool = ThreadPoolExecutor(max_workers=_WORKERS)
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
     """Generate per-projection stream pairs plus a manifest.
 
     One projection run per basis pair of the configured set, run on the
-    thread pool, each with its own child seed derived from the run seed,
-    so reruns with the same config are byte-identical.
+    package's shared thread pool (``pool.map_helped``), each with its own
+    child seed derived from the run seed, so reruns with the same config
+    are byte-identical.
     """
     out_dir = out_dir or config.io.output_dir
     sim = config.simulation
@@ -87,7 +69,7 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
         }
 
     bases = tomography_bases(config.tomography.basis_count)
-    files = _map_in_pool(run, enumerate(bases))
+    files = map_helped(run, enumerate(bases))
 
     manifest = {
         "toolkit_version": __version__,
@@ -134,7 +116,7 @@ def _histograms_from_manifest(manifest_path, config: RunConfig):
         full = cross_correlate(xx, x, width, n_pos * width)
         return Histogram(width, 0.0, full.counts[n_pos:])
 
-    return dict(zip(expected, _map_in_pool(correlate, expected)))
+    return dict(zip(expected, map_helped(correlate, expected)))
 
 
 def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,

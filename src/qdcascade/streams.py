@@ -57,9 +57,12 @@ class TimestampStream:
             if self.origins.shape != self.timestamps_ps.shape:
                 raise ValidationError("origins must match event count")
         if len(self.timestamps_ps):
-            if self.timestamps_ps.min() < 0:
+            ts = self.timestamps_ps
+            # sorted stamps have their extremes at the ends: no full scan
+            lo, hi = (ts[0], ts[-1]) if self._sorted else (ts.min(), ts.max())
+            if lo < 0:
                 raise ValidationError("timestamps must be nonnegative")
-            if self.timestamps_ps.max() >= self.duration_ps:
+            if hi >= self.duration_ps:
                 raise ValidationError("timestamps must be below the stream duration")
         if not self._sorted:
             order = np.argsort(self.timestamps_ps, kind="stable")
@@ -141,7 +144,10 @@ def import_stream(path, fmt=None) -> TimestampStream:
     in_order = not np.any(timestamps[1:] < timestamps[:-1])
     if not in_order:
         warnings.warn(f"{path}: timestamps not sorted; sorting on import")
-    duration = float(timestamps.max() + 1) if len(timestamps) else 0.0
+    if len(timestamps):
+        duration = float((timestamps[-1] if in_order else timestamps.max()) + 1)
+    else:
+        duration = 0.0
     return TimestampStream(channels, timestamps, duration, origins=origins,
                            _sorted=in_order)
 

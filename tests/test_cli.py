@@ -9,7 +9,7 @@ import pytest
 from conftest import make_input
 from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
                        bootstrap_metrics, density_of, import_stream, time_evolved_state)
-from qdcascade import pipeline
+from qdcascade import pipeline, pool
 from qdcascade.correlations import cross_correlate
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
@@ -405,7 +405,7 @@ class TestWorkerPool:
         config = load_config(write_config(tmp_path, n_pulses=20_000))
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            monkeypatch.setattr(pool, "WORKERS", workers)
             out = str(tmp_path / f"workers{workers}")
             cmd_tomo(config, manifest=cmd_simulate(config, out), out_dir=out)
             runs[workers] = file_digests(out)
@@ -417,7 +417,7 @@ class TestWorkerPool:
         assert any(p.startswith("bins" + os.sep) for p in paths)
 
     def test_error_in_worker_reaches_caller(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(pool, "WORKERS", 2)
         cfg_path = write_config(tmp_path, n_pulses=2000)
         manifest = cmd_simulate(load_config(cfg_path))
         entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"][20]

@@ -1,5 +1,9 @@
+import faulthandler
+import gc
 import hashlib
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdcascade import (ComputationError, G2Result, Histogram, TimestampStream,
-                       ValidationError, cross_correlate, g2_zero)
+                       ValidationError, correlations, cross_correlate, g2_zero, pool)
+from qdcascade.errors import FitError
 from qdcascade.fitting import _lorentzian
 from qdcascade.simulate import (EmitterConfig, simulate_autocorrelation_run,
                                 simulate_projection_run)
@@ -130,6 +135,81 @@ class TestCrossCorrelate:
         assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
 
 
+class TestChunkedCorrelate:
+    """The a-events are correlated in chunks on the shared pool."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        monkeypatch.setattr(correlations, "_CHUNK", 4)
+
+    @given(
+        ta=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
+        tb=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
+        bw=st.floats(0.25, 400.0),
+        md=st.floats(0.5, 4_000.0),
+        chunk=st.integers(1, 7),
+    )
+    def test_any_chunk_size_matches_brute_force(self, ta, tb, bw, md, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlations, "_CHUNK", chunk)
+            h = cross_correlate(np.array(ta), np.array(tb), bw, md)
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+
+    def test_calls_inside_pool_items_finish(self, rng):
+        # the outer items occupy the pool, so each inner call's helper queues
+        # behind them; the inner caller must not wait for it
+        pairs = [(rng.integers(0, 5_000, 200), rng.integers(0, 5_000, 200)) for _ in range(6)]
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            counts = pool.map_helped(lambda p: cross_correlate(*p, 10.0, 200.0).counts, pairs)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        for (ta, tb), c in zip(pairs, counts):
+            assert np.array_equal(c, brute_force_histogram(ta, tb, 10.0, 200.0))
+
+    def test_error_in_a_helper_chunk_reaches_caller(self, monkeypatch):
+        failed_on = []
+        delay_counts = correlations._delay_counts
+
+        def failing_third_chunk(ta, *args):
+            if ta[0] == 8:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("chunk failed")
+            return delay_counts(ta, *args)
+
+        monkeypatch.setattr(correlations, "_delay_counts", failing_third_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            cross_correlate(np.arange(40), np.arange(40), 1.0, 5.0)
+        assert failed_on and failed_on[0] is not threading.current_thread()
+
+    def test_busy_pool_keeps_no_input_alive(self):
+        # a call made on a pool thread while every other pool thread is busy
+        # cancels its queued helper, which stays queued until a thread pops
+        # it; it must not hold the call's arrays until then
+        executor = pool._pool()
+        blockers_queued, release = threading.Event(), threading.Event()
+
+        def correlate_and_drop():
+            blockers_queued.wait(30)
+            stream = TimestampStream(np.zeros(40), np.arange(40), 40.0)
+            ref = weakref.ref(stream.timestamps_ps)
+            assert cross_correlate(stream, stream, 1.0, 5.0).total() > 0
+            del stream
+            gc.collect()
+            return ref() is None
+
+        caller = executor.submit(correlate_and_drop)
+        blockers = [executor.submit(release.wait, 30) for _ in range(4)]  # at most 4 threads
+        blockers_queued.set()
+        try:
+            assert caller.result(timeout=30)
+        finally:
+            release.set()
+            for blocker in blockers:
+                blocker.result(timeout=30)
+
+
 def _digest(hist):
     return hashlib.sha256(hist.counts.tobytes()).hexdigest()
 
@@ -226,6 +306,19 @@ class TestG2Zero:
         h = comb_histogram(bin_width=6250.0)
         with pytest.raises(ComputationError, match="side peak -5"):
             g2_zero(h, 12500.0, 5)
+
+    def test_only_fit_errors_become_computation_errors(self, monkeypatch):
+        def fit_raising(exc):
+            def fit(*args, **kwargs):
+                raise exc
+            return fit
+
+        monkeypatch.setattr(correlations, "fit_model", fit_raising(RuntimeError("a bug")))
+        with pytest.raises(RuntimeError, match="a bug"):
+            g2_zero(comb_histogram(), 12500.0, 2)
+        monkeypatch.setattr(correlations, "fit_model", fit_raising(FitError("no minimum")))
+        with pytest.raises(ComputationError, match="side peak -2: Lorentzian fit failed"):
+            g2_zero(comb_histogram(), 12500.0, 2)
 
     def test_result_shape(self):
         out = g2_zero(comb_histogram(), 12500.0, 2)

@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qdcascade import ParseError, TimestampStream, export_stream, import_stream
+from qdcascade import (ParseError, TimestampStream, ValidationError, export_stream,
+                       import_stream)
 from qdcascade.simulate import EmitterConfig, simulate_projection_run
 from qdcascade.streams import _HEADER, _ORIGIN_CODE, _REC_V1, MAGIC
 
@@ -34,6 +35,14 @@ class TestStreamType:
             TimestampStream(np.array([0]), np.array([-5]), 10.0)
         with pytest.raises(Exception):
             TimestampStream(np.array([0]), np.array([50]), 10.0)
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    @pytest.mark.parametrize("stamps", [[-5, 3, 7], [3, 7, 10], [0, 3, 50]])
+    def test_out_of_range_stamp_rejected_on_both_paths(self, stamps, in_order):
+        # a sorted stream is checked at its ends, an unsorted one by a full scan
+        ts = np.array(stamps if in_order else stamps[::-1])
+        with pytest.raises(ValidationError, match="nonnegative|below the stream duration"):
+            TimestampStream(np.zeros(3), ts, 10.0, _sorted=in_order)
 
     def test_without_truth(self):
         s = small_stream().without_truth()
@@ -86,6 +95,17 @@ class TestImportEdgeCases:
         assert back.timestamps_ps.dtype == np.int64
         assert back.timestamps_ps.flags.c_contiguous
         assert back.duration_ps == 501.0
+
+    def test_sorted_binary_duration_and_range(self, tmp_path):
+        records = np.zeros(3, dtype=_REC_V1)
+        records["timestamp"] = [100, 300, 500]
+        path = tmp_path / "s.ctts"
+        path.write_bytes(_HEADER.pack(MAGIC, 1, 3) + records.tobytes())
+        assert import_stream(path).duration_ps == 501.0
+        records["timestamp"] = [2**63 + 5, 2**63 + 6, 2**63 + 7]  # negative as int64
+        path.write_bytes(_HEADER.pack(MAGIC, 1, 3) + records.tobytes())
+        with pytest.raises(ValidationError, match="nonnegative"):
+            import_stream(path)
 
     def test_concurrent_csv_imports_keep_warning_filters(self, tmp_path):
         # the pipeline imports streams on several threads, where a
