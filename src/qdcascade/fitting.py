@@ -13,7 +13,12 @@ Model forms:
 Nonlinear kinds run Levenberg-Marquardt from data-driven starting
 points; parameter uncertainties come from the Jacobian covariance
 scaled by the reduced chi-square. For raw count data pass
-``weights=poisson_weights(y)``.
+``weights=poisson_weights(y)``. scipy's ``least_squares`` is imported
+by the first nonlinear fit of a process, not with this module, so
+``import qdcascade`` loads numpy only and code that fits no curve
+(``simulate``, config loading, the linear ``power_law`` and
+``fss_from_peak_positions``) never loads scipy. Without scipy a
+nonlinear fit raises ImportError, not FitError.
 
 The sinusoid start takes P from the strongest FFT component and then
 (y0, A, phi0) from the weighted linear least-squares solve at that
@@ -32,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import H_UEV_PS
 from .errors import FitError, ValidationError
@@ -192,6 +196,9 @@ def _initial_guesses(kind, x, y, weights, init):
 
 
 def _lm_fit(kind, x, y, weights, init):
+    # outside ``solve``'s try, so that a missing scipy is not a FitError
+    from scipy.optimize import least_squares
+
     func, names = _MODELS[kind]
     sqrt_w = np.sqrt(weights)
 

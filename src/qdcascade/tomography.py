@@ -62,6 +62,8 @@ def _cholesky_basis():
 
 
 _BASIS = _cholesky_basis()
+_IDENTITY_16 = np.eye(16)
+_IDENTITY_16.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -285,7 +287,9 @@ def _hessian(t, grad, terms, forms, counts, norms):
     - (2/s)(t grad^T + grad t^T), from the terms ``_objective_and_grad`` formed at t."""
     s, p, q, low, d1, jac = terms
     d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * q**3))
-    curv = np.tensordot(d1, forms, axes=1) - float(d1 @ p) * np.eye(16)
+    # the dot that tensordot(d1, forms, axes=1) makes, without its reshaping
+    curv = (np.dot(d1[None], forms.reshape(len(forms), 256)).reshape(16, 16)
+            - float(d1 @ p) * _IDENTITY_16)
     cross = np.outer(t, grad)
     return (jac.T * d2) @ jac + (2.0 / s) * (curv - cross - cross.T)
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qdcascade
 from qdcascade.polarization import tomography_bases
 from qdcascade.tomography import (ProjectionRecord, TomographyInput,
                                   expected_probability)
@@ -34,3 +39,12 @@ def make_input(rho, flux, basis_count=36, rng=None, weights=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def run_python(code, *args, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports this checkout's qdcascade."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdcascade.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)

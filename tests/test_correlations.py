@@ -1,4 +1,3 @@
-import faulthandler
 import gc
 import hashlib
 import threading
@@ -10,12 +9,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import run_python
 from qdcascade import (ComputationError, G2Result, Histogram, TimestampStream,
                        ValidationError, correlations, cross_correlate, g2_zero, pool)
 from qdcascade.errors import FitError
 from qdcascade.fitting import _lorentzian
 from qdcascade.simulate import (EmitterConfig, simulate_autocorrelation_run,
                                 simulate_projection_run)
+
+#: Child-interpreter body of the nested-call test: ``cross_correlate`` inside
+#: ``map_helped`` items, stream pairs read from argv[1], counts saved to argv[2].
+NESTED_CALLS = """
+import faulthandler, sys
+import numpy as np
+from qdcascade import correlations, cross_correlate, pool
+pool.WORKERS, correlations._CHUNK = 2, 4  # as the small_chunks fixture sets them
+stamps = np.load(sys.argv[1])
+arrays = [stamps[f"arr_{k}"] for k in range(len(stamps.files))]
+pairs = list(zip(arrays[0::2], arrays[1::2]))
+faulthandler.dump_traceback_later(60, exit=True)
+counts = pool.map_helped(lambda p: cross_correlate(*p, 10.0, 200.0).counts, pairs)
+faulthandler.cancel_dump_traceback_later()
+np.savez(sys.argv[2], *counts)
+"""
 
 
 def brute_force_histogram(ta, tb, bin_width, max_delay):
@@ -156,17 +172,19 @@ class TestChunkedCorrelate:
             h = cross_correlate(np.array(ta), np.array(tb), bw, md)
         assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
 
-    def test_calls_inside_pool_items_finish(self, rng):
+    def test_calls_inside_pool_items_finish(self, rng, tmp_path):
         # the outer items occupy the pool, so each inner call's helper queues
-        # behind them; the inner caller must not wait for it
+        # behind them; the inner caller must not wait for it. The calls run in
+        # a child interpreter whose faulthandler ends a deadlock after 60 s and
+        # writes every thread's stack to the child's own stderr, which pytest's
+        # capture of this process does not swallow.
         pairs = [(rng.integers(0, 5_000, 200), rng.integers(0, 5_000, 200)) for _ in range(6)]
-        faulthandler.dump_traceback_later(60, exit=True)
-        try:
-            counts = pool.map_helped(lambda p: cross_correlate(*p, 10.0, 200.0).counts, pairs)
-        finally:
-            faulthandler.cancel_dump_traceback_later()
-        for (ta, tb), c in zip(pairs, counts):
-            assert np.array_equal(c, brute_force_histogram(ta, tb, 10.0, 200.0))
+        np.savez(tmp_path / "pairs.npz", *(t for pair in pairs for t in pair))
+        proc = run_python(NESTED_CALLS, tmp_path / "pairs.npz", tmp_path / "counts.npz")
+        assert proc.returncode == 0, proc.stderr
+        counts = np.load(tmp_path / "counts.npz")
+        for k, (ta, tb) in enumerate(pairs):
+            assert np.array_equal(counts[f"arr_{k}"], brute_force_histogram(ta, tb, 10.0, 200.0))
 
     def test_error_in_a_helper_chunk_reaches_caller(self, monkeypatch):
         failed_on = []
