@@ -7,9 +7,9 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .polarization import ARMS
-from .simulate import EmitterConfig, _is_integer, _require_finite
+from .simulate import EmitterConfig, _is_integer
 
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
 
@@ -21,7 +21,7 @@ class CorrectionConfig:
     arms: str = "both"
 
     def __post_init__(self):
-        _require_finite(self, ("theta", "phi"))
+        require_finite(theta=self.theta, phi=self.phi)
         if self.arms not in ARMS:
             raise ValidationError(f"correction arms must be one of {ARMS}")
 
@@ -43,7 +43,8 @@ class TomographyConfig:
     correction: CorrectionConfig = field(default_factory=CorrectionConfig)
 
     def __post_init__(self):
-        _require_finite(self, ("bin_width_ps", "max_delay_ps", "min_counts_per_bin"))
+        require_finite(bin_width_ps=self.bin_width_ps, max_delay_ps=self.max_delay_ps,
+                       min_counts_per_bin=self.min_counts_per_bin)
         if not _is_integer(self.bootstrap_samples):
             raise ValidationError("bootstrap_samples must be an integer")
         if self.basis_count not in (16, 36):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, FitError, ValidationError
+from .errors import ComputationError, FitError, ValidationError, require_finite
 from .fitting import fit_model, poisson_weights
 from .pool import map_helped
 from .streams import TimestampStream
@@ -35,11 +35,13 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
+        require_finite(bin_width=self.bin_width, origin=self.origin)
         if not self.bin_width > 0:
             raise ValidationError("bin_width must be positive")
         self.counts = np.asarray(self.counts)
         if self.counts.ndim != 1 or len(self.counts) < 1:
             raise ValidationError("counts must be a nonempty 1-d array")
+        require_finite(counts=self.counts)
         if np.any(self.counts < 0):
             raise ValidationError("counts must be nonnegative")
 
@@ -81,6 +83,7 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     and the chunk counts are integers, so their sum is the same histogram
     on any number of threads.
     """
+    require_finite(bin_width=bin_width, max_delay=max_delay)
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
     ta = _sorted_timestamps(stream_a)
@@ -150,6 +153,7 @@ def g2_zero(hist: Histogram, rep_period, n_side_peaks=5):
     period), takes the mean FWHM as the counting window, and divides the
     zero-centered window sum by the mean side-peak window sum.
     """
+    require_finite(rep_period=rep_period)
     if rep_period <= 0:
         raise ValidationError("rep_period must be positive")
     if n_side_peaks < 1:

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one finite-number check.
 
 The CLI maps ValidationError and OSError to exit code 1 and
 ComputationError to exit code 2; everything else is a bug.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class CascadeError(Exception):
@@ -29,3 +34,19 @@ class ComputationError(CascadeError):
 
 class FitError(ComputationError):
     """A curve fit could not be performed."""
+
+
+def require_finite(**values):
+    """Raise ValidationError unless every keyword's value is a finite real
+    number, or a numeric array of them.
+
+    The package's one finite-number check on input: NaN or inf is bad
+    input (exit 1), not a NaN in the output or a failed computation.
+    """
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            if not (np.issubdtype(value.dtype, np.number) and np.all(np.isfinite(value))):
+                raise ValidationError(f"{name} must hold only finite numbers")
+        elif not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value)):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")

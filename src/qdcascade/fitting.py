@@ -10,9 +10,14 @@ Model forms:
 * ``power_law``     log y = s*log x + b, fitted linearly in log-log space
 * ``lorentzian``    y = B + A*(g/2)^2 / ((x - x0)^2 + (g/2)^2)
 
-Nonlinear kinds run Levenberg-Marquardt from data-driven starting
-points; parameter uncertainties come from the Jacobian covariance
-scaled by the reduced chi-square. For raw count data pass
+Nonlinear kinds run Levenberg-Marquardt (MINPACK ``lmder``) from
+data-driven starting points with each model's closed-form Jacobian
+(``_JACOBIANS``), never finite differences. Each Jacobian is the
+derivative of the model as evaluated, so it is 0 where ``_safe_exp``'s
+cap binds, and the recapture ``t0`` column takes sign(x - t0), 0 at the
+cusp. Parameter uncertainties come from the covariance of the exact
+Jacobian at the solution, scaled by the reduced chi-square. Non-finite
+x, y or weights are rejected as bad input. For raw count data pass
 ``weights=poisson_weights(y)``. scipy's ``least_squares`` is imported
 by the first nonlinear fit of a process, not with this module, so
 ``import qdcascade`` loads numpy only and code that fits no curve
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import H_UEV_PS
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, require_finite
 
 
 @dataclass
@@ -99,14 +104,36 @@ def _safe_exp(z):
     return np.exp(np.minimum(z, 60.0))
 
 
+def _safe_exp_and_slope(z):
+    """``_safe_exp(z)`` and its derivative in z, which is 0 where the cap binds."""
+    value = _safe_exp(z)
+    return value, np.where(z < 60.0, value, 0.0)
+
+
 def _exponential(x, p):
     b, a, x0, tau = p
     return b + a * _safe_exp(-(x - x0) / tau)
 
 
+def _exponential_jac(x, p):
+    b, a, x0, tau = p
+    z = -(x - x0) / tau
+    value, slope = _safe_exp_and_slope(z)
+    slope = slope * (a / tau)
+    return np.column_stack([np.ones_like(x), value, slope, -slope * z])
+
+
 def _sinusoid(x, p):
     y0, a, period, phi0 = p
     return y0 + a * np.sin(2.0 * np.pi * x / period + phi0)
+
+
+def _sinusoid_jac(x, p):
+    y0, a, period, phi0 = p
+    theta = 2.0 * np.pi * x / period + phi0
+    a_cos = a * np.cos(theta)
+    return np.column_stack([np.ones_like(x), np.sin(theta),
+                            -a_cos * (2.0 * np.pi * x / period ** 2), a_cos])
 
 
 def _recapture(x, p):
@@ -115,10 +142,34 @@ def _recapture(x, p):
     return c + a * _safe_exp(-u / t_d) * (1.0 - _safe_exp(-u / t_c))
 
 
+def _recapture_jac(x, p):
+    c, a, t0, t_d, t_c = p
+    u = np.abs(x - t0)
+    decay, decay_slope = _safe_exp_and_slope(-u / t_d)
+    rise, rise_slope = _safe_exp_and_slope(-u / t_c)
+    dip = 1.0 - rise
+    d_decay = (a / t_d) * dip * decay_slope  # -d(peak)/du through the decay factor
+    d_dip = (a / t_c) * decay * rise_slope  # d(peak)/du through the dip factor
+    # du/dt0 = -sign(x - t0), which is 0 at the cusp
+    return np.column_stack([np.ones_like(x), decay * dip,
+                            np.sign(x - t0) * (d_decay - d_dip),
+                            d_decay * (u / t_d), -d_dip * (u / t_c)])
+
+
 def _lorentzian(x, p):
     b, a, x0, gamma = p
     hw2 = (gamma / 2.0) ** 2
     return b + a * hw2 / ((x - x0) ** 2 + hw2)
+
+
+def _lorentzian_jac(x, p):
+    b, a, x0, gamma = p
+    d = x - x0
+    hw2 = (gamma / 2.0) ** 2
+    den = d * d + hw2
+    scale = a / (den * den)
+    return np.column_stack([np.ones_like(x), hw2 / den, scale * (2.0 * hw2) * d,
+                            scale * (gamma / 2.0) * (d * d)])
 
 
 _MODELS = {
@@ -126,6 +177,14 @@ _MODELS = {
     "sinusoid": (_sinusoid, ("y0", "A", "P", "phi0")),
     "recapture": (_recapture, ("C", "A", "t0", "t_d", "t_c")),
     "lorentzian": (_lorentzian, ("B", "A", "x0", "gamma")),
+}
+
+#: d(model)/d(params), one column per parameter in ``_MODELS`` order
+_JACOBIANS = {
+    "exponential": _exponential_jac,
+    "sinusoid": _sinusoid_jac,
+    "recapture": _recapture_jac,
+    "lorentzian": _lorentzian_jac,
 }
 
 
@@ -200,14 +259,14 @@ def _lm_fit(kind, x, y, weights, init):
     from scipy.optimize import least_squares
 
     func, names = _MODELS[kind]
+    model_jac = _JACOBIANS[kind]
     sqrt_w = np.sqrt(weights)
-
-    def residuals(p):
-        return sqrt_w * (func(x, p) - y)
 
     guess = _initial_guesses(kind, x, y, weights, init)
     frozen = {"x0"} if kind == "exponential" else set()
     free = [n for n in names if n not in frozen]
+    cols = [names.index(n) for n in free]
+    held = np.array([guess[n] for n in names], dtype=float)
 
     starts = [guess]
     if kind == "recapture" and not init:
@@ -222,13 +281,19 @@ def _lm_fit(kind, x, y, weights, init):
         return np.array([g[n] for n in free], dtype=float)
 
     def unpack(vec):
-        full = dict(guess)
-        full.update(dict(zip(free, vec)))
-        return np.array([full[n] for n in names], dtype=float)
+        full = held.copy()
+        full[cols] = vec
+        return full
+
+    def residuals(vec):
+        return sqrt_w * (func(x, unpack(vec)) - y)
+
+    def jacobian(vec):
+        return sqrt_w[:, None] * model_jac(x, unpack(vec))[:, cols]
 
     def solve(start):
         try:
-            return least_squares(lambda v: residuals(unpack(v)), start, method="lm",
+            return least_squares(residuals, start, jac=jacobian, method="lm",
                                  xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
         except Exception as exc:
             raise FitError(f"{kind} fit failed: {exc}") from exc
@@ -292,10 +357,12 @@ def fit_model(kind, x, y, weights=None, init=None):
     overrides individual starting parameters by name. Returns a
     FitResult; converged=False carries the best parameters found.
     """
+    require_finite(**(init or {}))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("x and y must be 1-d arrays of equal length")
+    require_finite(x=x, y=y)
     if len(x) == 0 or np.all(x == x[0]):
         raise ValidationError("degenerate x data: all abscissae equal")
     n_params = 2 if kind == "power_law" else len(_MODELS.get(kind, (None, ()))[1])
@@ -307,6 +374,7 @@ def fit_model(kind, x, y, weights=None, init=None):
         weights = np.ones_like(y)
     else:
         weights = np.asarray(weights, dtype=float)
+        require_finite(weights=weights)
         if weights.shape != y.shape or np.any(weights <= 0):
             raise ValidationError("weights must be positive and match y")
 
@@ -327,6 +395,7 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     energies = np.asarray(peak_energies, dtype=float)
     if angles.shape != energies.shape or angles.ndim != 1:
         raise ValidationError("angles and energies must be 1-d arrays of equal length")
+    require_finite(angles=angles, energies=energies)
     if len(angles) < 8:
         raise ValidationError("need at least 8 angular samples")
     if angles.max() - angles.min() < np.pi - 1e-9:
@@ -361,6 +430,7 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
 
 def fss_from_period(period):
     """Splitting (ueV) whose phase oscillation has the given period (ps)."""
+    require_finite(period=period)
     if period <= 0:
         raise ValidationError("period must be positive")
     return H_UEV_PS / period
@@ -384,6 +454,8 @@ def first_lens_rate(measured_cps, setup_eff, detector_eff, rep_rate_mhz):
     16.67 MHz does not follow from this formula (it yields 10 MHz,
     which is the 12.5% of 80 MHz the same source quotes).
     """
+    require_finite(measured_cps=measured_cps, setup_eff=setup_eff,
+                   detector_eff=detector_eff, rep_rate_mhz=rep_rate_mhz)
     if measured_cps <= 0 or rep_rate_mhz <= 0:
         raise ValidationError("measured_cps and rep_rate must be positive")
     if not 0 < setup_eff <= 1 or not 0 < detector_eff <= 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import HBAR_UEV_PS, H_UEV_PS
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -85,10 +85,9 @@ def time_evolved_state(fss, t):
         (|HH> + exp(i*fss*t/hbar)|VV>)/sqrt(2). The phase period is
         h/fss; the state is maximally entangled for every t.
     """
+    require_finite(fss=fss, t=t)
     if fss < 0:
         raise ValidationError("fss must be nonnegative")
-    if not np.isfinite(t):
-        raise ValidationError("t must be finite")
     phase = np.exp(1j * fss * t / HBAR_UEV_PS)
     return np.array([1.0, 0.0, 0.0, phase], dtype=complex) / np.sqrt(2.0)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import HBAR_UEV_PS
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .polarization import projector_for
 from .streams import TimestampStream, _ORIGIN_CODE
 
@@ -71,7 +71,7 @@ class EmitterConfig:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, [f.name for f in fields(self)])
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if self.fss < 0:
             raise ValidationError("fss must be nonnegative")
         for name in ("tau_xx", "tau_x", "recapture_time", "rep_rate"):
@@ -115,15 +115,6 @@ def _orthogonal_vector(v):
 
 def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_finite(obj, names):
-    """Raise ValidationError unless every named attribute of obj is a finite real number."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value)):
-            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 def _draws_below(rng, m, p):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_finite
 from .polarization import ORTHOGONAL, projector_for
 from .quantum import project_physical, validate_density_matrix
 
@@ -85,7 +85,8 @@ class ProjectionRecord:
         for ch in self.basis_pair:
             if ch not in ORTHOGONAL:
                 raise ValidationError(f"unknown polarization label {ch!r}")
-        if not np.isfinite(self.counts) or self.counts < 0:
+        require_finite(counts=self.counts, acquisition_weight=self.acquisition_weight)
+        if self.counts < 0:
             raise ValidationError(f"counts must be >= 0, got {self.counts!r}")
         if not self.acquisition_weight > 0:
             raise ValidationError("acquisition_weight must be positive")

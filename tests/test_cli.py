@@ -566,6 +566,37 @@ class TestExitCodes:
         assert err.startswith("error:") and key.split(".")[-1] in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["fss-period", "nan"], "period"), (["fss-period", "inf"], "period"),
+        (["efficiency", "--measured-cps", "nan", "--setup-eff", "0.008",
+          "--detector-eff", "0.5", "--rep-rate", "80"], "measured_cps"),
+        (["efficiency", "--measured-cps", "40000", "--setup-eff", "0.008",
+          "--detector-eff", "0.5", "--rep-rate", "inf"], "rep_rate_mhz"),
+        (["g2", "--histogram", "{ok}", "--rep-period", "nan"], "rep_period"),
+        (["g2", "--histogram", "{nan}", "--rep-period", "12500"], "counts"),
+        (["lifetime", "--histogram", "{nan}"], "counts"),
+        (["lifetime", "--histogram", "{ok}", "--x0", "nan"], "x0"),
+        (["recapture", "--histogram", "{nan}"], "counts"),
+        (["power", "--data", "{nan_xy}"], "y"),
+        (["fss", "--data", "{nan_xy}"], "energies"),
+    ])
+    def test_non_finite_number_is_1(self, tmp_path, capsys, argv, name):
+        files = {"ok": "0,1\n50,2\n100,3\n", "nan": "0,1\n50,nan\n100,3\n"}
+        paths = {}
+        for key, rows in files.items():
+            paths[key] = tmp_path / f"{key}.csv"
+            paths[key].write_text("bin_start_ps,counts\n" + rows)
+        angles = np.deg2rad(np.arange(0, 360, 5))
+        table = [f"{a},{1000.0 + np.sin(4 * a)}" for a in angles]
+        table[3] = f"{angles[3]},nan"
+        paths["nan_xy"] = tmp_path / "nan_xy.csv"
+        paths["nan_xy"].write_text("x,y\n" + "\n".join(table))
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(["analyze", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and "finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", ["g2_missing", "counts_missing", "manifest_missing",
                                       "manifest_not_json", "meta_not_json",
                                       "power_not_numeric", "fss_not_numeric"])

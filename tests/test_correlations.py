@@ -101,6 +101,12 @@ class TestCrossCorrelate:
         with pytest.raises(ValidationError):
             cross_correlate(np.array([1]), np.array([1]), 10.0, -5.0)
 
+    @pytest.mark.parametrize("bw,md", [(np.nan, 100.0), (np.inf, 100.0),
+                                       (10.0, np.nan), (10.0, np.inf)])
+    def test_non_finite_width_or_delay(self, bw, md):
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            cross_correlate(np.array([1]), np.array([1]), bw, md)
+
     @pytest.mark.parametrize("bw,md", [(0.3, 7.45), (2.5, 41.2), (7.7, 100.05), (33.3, 250.0)])
     def test_fractional_width_and_delay(self, rng, bw, md):
         # a non-integral origin puts the window's lower edge between integers
@@ -273,6 +279,13 @@ class TestHistogram:
             Histogram(1.0, 0.0, np.array([-1]))
         with pytest.raises(ValidationError):
             Histogram(1.0, 0.0, np.array([]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="counts must hold only finite"):
+                Histogram(1.0, 0.0, np.array([1.0, bad]))
+            with pytest.raises(ValidationError, match="bin_width must be a finite"):
+                Histogram(bad, 0.0, np.array([1]))
+            with pytest.raises(ValidationError, match="origin must be a finite"):
+                Histogram(1.0, bad, np.array([1]))
 
 
 def comb_histogram(rep_period=12500.0, bin_width=50.0, n_periods=6, gamma=800.0,
@@ -313,6 +326,11 @@ class TestG2Zero:
         a = g2_zero(h, 12500.0, 3).g2_zero
         b = g2_zero(Histogram(h.bin_width, h.origin, h.counts * 7), 12500.0, 3).g2_zero
         assert a == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_period(self, bad):
+        with pytest.raises(ValidationError, match="rep_period must be a finite"):
+            g2_zero(comb_histogram(), bad, 5)
 
     def test_insufficient_span(self):
         h = comb_histogram(n_periods=2)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qdcascade import (ValidationError, first_lens_rate, fit_model,
+from qdcascade import (Histogram, ValidationError, first_lens_rate, fit_model,
                        fss_from_peak_positions, fss_from_period,
                        oscillation_period, poisson_weights)
-from qdcascade.fitting import _MODELS
+from qdcascade import fitting
+from qdcascade.correlations import g2_zero
+from qdcascade.fitting import _JACOBIANS, _MODELS
 
 
 def evaluate(kind, x, params):
@@ -112,6 +114,17 @@ class TestFitModelValidation:
             fit_model("exponential", np.arange(10.0), np.arange(10.0),
                       weights=np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "y", "weights"])
+    def test_non_finite_input(self, where, bad):
+        data = {"x": np.arange(10.0), "y": np.exp(-np.arange(10.0) / 3.0),
+                "weights": np.ones(10)}
+        data[where][4] = bad
+        with pytest.raises(ValidationError, match=f"{where} must hold only finite"):
+            fit_model("lorentzian", data["x"], data["y"], weights=data["weights"])
+        with pytest.raises(ValidationError, match="x0 must be a finite number"):
+            fit_model("lorentzian", np.arange(10.0), np.ones(10), init={"x0": bad})
+
     def test_std_error_keys_match(self):
         x = np.linspace(0, 10, 30)
         fit = fit_model("exponential", x, 1 + np.exp(-x / 3.0))
@@ -171,6 +184,11 @@ class TestFssFromPeaks:
             fss_from_peak_positions(angles, np.ones_like(angles))
         with pytest.raises(ValidationError, match="8"):
             fss_from_peak_positions(np.linspace(0, np.pi, 5), np.ones(5))
+        angles = np.deg2rad(np.arange(0, 360, 5))
+        energies = self._trace(4.6, 0.4, angles)
+        energies[7] = np.nan
+        with pytest.raises(ValidationError, match="energies must hold only finite"):
+            fss_from_peak_positions(angles, energies)
 
 
 class TestUnitConversion:
@@ -188,6 +206,9 @@ class TestUnitConversion:
     def test_positive_input_required(self):
         with pytest.raises(ValidationError):
             fss_from_period(0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                fss_from_period(bad)
         with pytest.raises(ValidationError):
             oscillation_period(-2.0)
 
@@ -216,6 +237,10 @@ class TestFirstLensRate:
             first_lens_rate(0.0, 0.5, 0.5, 80.0)
         with pytest.raises(ValidationError):
             first_lens_rate(100.0, 1.5, 0.5, 80.0)
+        with pytest.raises(ValidationError, match="measured_cps must be a finite"):
+            first_lens_rate(np.nan, 0.5, 0.5, 80.0)
+        with pytest.raises(ValidationError, match="rep_rate_mhz must be a finite"):
+            first_lens_rate(100.0, 0.5, 0.5, np.inf)
 
 
 def test_poisson_weights():
@@ -264,6 +289,94 @@ class TestRecaptureModel:
         assert fit.params["t_c"] > 0
         model = RecaptureModel.from_fit(fit)
         assert model.t_c == pytest.approx(400.0, rel=1e-6)
+
+
+def _central_differences(func, x, p, rel=1e-6):
+    """Central differences of func(x, p) in each parameter, and each entry's
+    rounding floor (eps * |f| / h), below which a difference carries no digits."""
+    diffs, floors = [], []
+    for k in range(len(p)):
+        h = rel * max(abs(p[k]), 1.0)
+        up, down = p.copy(), p.copy()
+        up[k] += h
+        down[k] -= h
+        f_up, f_down = func(x, up), func(x, down)
+        diffs.append((f_up - f_down) / (2.0 * h))
+        floors.append(np.finfo(float).eps * np.maximum(abs(f_up), abs(f_down)) / h)
+    return np.column_stack(diffs), np.column_stack(floors)
+
+
+def _random_point(kind, rng):
+    """Parameters and abscissae; negative time constants make the exp cap bind."""
+    sign = rng.choice([-1.0, 1.0], size=2)
+    if kind == "exponential":
+        p = [rng.normal(), rng.uniform(0.5, 5), rng.uniform(-2, 2), sign[0] * rng.uniform(0.05, 3)]
+    elif kind == "sinusoid":
+        p = [rng.normal(), rng.uniform(0.5, 3), rng.uniform(1, 10), rng.uniform(-3, 3)]
+    elif kind == "recapture":
+        p = [rng.normal(), rng.uniform(0.5, 5), rng.uniform(-2, 2),
+             sign[0] * rng.uniform(0.05, 3), sign[1] * rng.uniform(0.05, 3)]
+    else:
+        p = [rng.normal(), rng.uniform(0.5, 5), rng.uniform(-2, 2), rng.uniform(0.2, 5)]
+    p = np.array(p)
+    x = np.linspace(-20.0, 20.0, 81)
+    if kind == "recapture":  # next to the cusp, a step clear of it, and on it
+        x = np.concatenate([x, p[2] + np.array([-1e-2, -1e-3, 1e-3, 1e-2, 0.0])])
+    return p, x
+
+
+class TestAnalyticJacobians:
+    @pytest.mark.parametrize("kind", sorted(_MODELS))
+    def test_matches_central_differences(self, kind, rng):
+        func, _ = _MODELS[kind]
+        capped = 0
+        for _ in range(200):
+            p, x = _random_point(kind, rng)
+            jac = _JACOBIANS[kind](x, p)
+            diffs, floors = _central_differences(func, x, p)
+            assert jac.shape == (len(x), len(p))
+            assert np.all(np.abs(jac - diffs) <= 1e-6 * np.abs(jac) + 8.0 * floors)
+            if kind == "exponential":
+                capped += np.sum(-(x - p[2]) / p[3] > 60.0)
+            elif kind == "recapture":
+                u = np.abs(x - p[2])
+                capped += np.sum((-u / p[3] > 60.0) | (-u / p[4] > 60.0))
+        if kind in ("exponential", "recapture"):
+            assert capped > 0  # the cap bound at some rows
+
+    def test_zero_where_the_cap_binds_and_at_the_cusp(self):
+        x = np.array([-500.0, 0.0, 500.0])
+        jac = _JACOBIANS["exponential"](x, np.array([1.0, 2.0, 0.0, 5.0]))
+        assert np.all(jac[0, 2:] == 0.0) and jac[0, 1] == np.exp(60.0)
+        jac = _JACOBIANS["recapture"](x, np.array([1.0, 2.0, 0.0, 300.0, -5.0]))
+        assert np.all(jac[[0, 2], 4] == 0.0)  # -u/t_c = 100 is capped
+        assert jac[1, 2] == 0.0  # d/dt0 at x == t0
+
+    def test_fits_evaluate_no_finite_differences(self, rng, monkeypatch):
+        # with finite-difference Jacobians (p + 1 model calls per Jacobian)
+        # these fits made 360 Lorentzian and 674 recapture calls
+        calls = {"lorentzian": 0, "recapture": 0}
+        for kind in calls:
+            func, *rest = _MODELS[kind]
+
+            def spy(x, p, func=func, kind=kind):
+                calls[kind] += 1
+                return func(x, p)
+
+            monkeypatch.setitem(fitting._MODELS, kind, (spy, *rest))
+
+        period, width = 12500.0, 50.0
+        x = np.arange(-5.5 * period, 5.5 * period, width) + width / 2.0
+        peaks = sum((0.3 if m == 0 else 1.0) * 400.0 / (1.0 + ((x - m * period) / 400.0) ** 2)
+                    for m in range(-6, 7))
+        g2_zero(Histogram(width, -5.5 * period, rng.poisson(5.0 + peaks)), period, 5)
+        t = np.arange(-4000.0, 4000.0, 25.0) + 12.5
+        u = np.abs(t - 30.0)
+        y = rng.poisson(5.0 + 3000.0 * np.exp(-u / 1100.0) * (1.0 - np.exp(-u / 546.0)))
+        fit_model("recapture", t, y, weights=poisson_weights(y))
+        # 10 side-peak fits and 10 recapture starts take 69 and 126 calls
+        assert 0 < calls["lorentzian"] <= 150
+        assert 0 < calls["recapture"] <= 300
 
 
 @pytest.fixture

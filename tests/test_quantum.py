@@ -53,6 +53,8 @@ class TestTimeEvolvedState:
             time_evolved_state(-1.0, 0.0)
         with pytest.raises(ValidationError):
             time_evolved_state(1.0, np.inf)
+        with pytest.raises(ValidationError, match="fss must be a finite"):
+            time_evolved_state(np.nan, 0.0)
 
 
 class TestDensityOf:

@@ -47,6 +47,8 @@ class TestRecordsAndInput:
             ProjectionRecord("HV", -1)
         with pytest.raises(ValidationError):
             ProjectionRecord("HV", 10, acquisition_weight=0.0)
+        with pytest.raises(ValidationError, match="acquisition_weight must be a finite"):
+            ProjectionRecord("HV", 10, acquisition_weight=np.inf)
 
     def test_input_validation(self):
         records = [ProjectionRecord("HV", 1)] * 16
