@@ -7,15 +7,12 @@ from .constants import H_UEV_PS, HBAR_UEV_PS
 from .errors import (CascadeError, ComputationError, FitError, ParseError,
                      ValidationError)
 from .quantum import (PHI_MINUS, PHI_PLUS, concurrence, density_of, fidelity,
-                      oscillation_period, project_physical, rho_from_dict,
-                      rho_to_dict, time_evolved_state, trace_distance)
+                      oscillation_period, project_physical, rho_to_dict, time_evolved_state)
 from .polarization import (BASIS_LABELS, CorrectionUnitary, apply_correction,
-                           correction_unitary, projector_for, tomography_bases,
-                           waveplate_jones)
+                           correction_unitary, projector_for, tomography_bases)
 from .tomography import (BootstrapResult, ProjectionRecord, ReconstructionResult,
-                         TomographyInput, bootstrap_metrics, linear_inversion,
-                         mle_reconstruct, neg_log_likelihood, rho_from_t,
-                         time_binned_tomography)
+                         TomographyInput, bootstrap_metrics, mle_reconstruct,
+                         neg_log_likelihood, rho_from_t, time_binned_tomography)
 from .simulate import (EmitterConfig, simulate_autocorrelation_run,
                        simulate_projection_run)
 from .streams import TimestampStream, export_stream, import_stream
@@ -30,13 +27,12 @@ __all__ = [
     "H_UEV_PS", "HBAR_UEV_PS",
     "CascadeError", "ComputationError", "FitError", "ParseError", "ValidationError",
     "PHI_MINUS", "PHI_PLUS", "concurrence", "density_of", "fidelity",
-    "oscillation_period", "project_physical", "rho_from_dict", "rho_to_dict",
-    "time_evolved_state", "trace_distance",
+    "oscillation_period", "project_physical", "rho_to_dict", "time_evolved_state",
     "BASIS_LABELS", "CorrectionUnitary", "apply_correction",
-    "correction_unitary", "projector_for", "tomography_bases", "waveplate_jones",
+    "correction_unitary", "projector_for", "tomography_bases",
     "BootstrapResult", "ProjectionRecord", "ReconstructionResult", "TomographyInput",
-    "bootstrap_metrics", "linear_inversion", "mle_reconstruct",
-    "neg_log_likelihood", "rho_from_t", "time_binned_tomography",
+    "bootstrap_metrics", "mle_reconstruct", "neg_log_likelihood", "rho_from_t",
+    "time_binned_tomography",
     "EmitterConfig", "simulate_autocorrelation_run", "simulate_projection_run",
     "TimestampStream", "export_stream", "import_stream",
     "G2Result", "Histogram", "cross_correlate", "g2_zero",

@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from .correlations import Histogram
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_finite
 from .tomography import ProjectionRecord, TomographyInput
 
 
@@ -38,14 +38,6 @@ def dump_json(obj, path, digits=None):
         fh.write("\n")
 
 
-def write_projection_csv(input: TomographyInput, path):
-    """Write `basis,counts,weight` rows; ``:.17g`` reads back bit for bit."""
-    with open(path, "w") as fh:
-        fh.write("basis,counts,weight\n")
-        for rec in input.records:
-            fh.write(f"{rec.basis_pair},{rec.counts:.17g},{rec.acquisition_weight:.17g}\n")
-
-
 def _read_rows(path, columns, parse):
     """The non-blank rows of a CSV whose header is ``columns``, each through ``parse``.
 
@@ -73,6 +65,7 @@ def _uniform_width(path, starts):
     """Bin width of a uniform grid of at least two bin starts."""
     if len(starts) < 2:
         raise ValidationError(f"{path}: need at least two bins to infer the bin width")
+    require_finite(**{f"{path}: bin_start_ps": starts})
     widths = np.diff(starts)
     if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
         raise ValidationError(f"{path}: bin grid is not uniform")
@@ -89,16 +82,6 @@ def read_projection_csv(path) -> TomographyInput:
     """Read `basis,counts,weight` rows into a TomographyInput (weight defaults to 1)."""
     columns = ("basis", "counts", "weight")
     return TomographyInput(tuple(_read_rows(path, columns, _projection_row)))
-
-
-def write_binned_csv(histograms, path):
-    """Write per-pair binned counts as `basis,bin_start_ps,counts` rows."""
-    with open(path, "w") as fh:
-        fh.write("basis,bin_start_ps,counts\n")
-        for basis in sorted(histograms):
-            h = histograms[basis]
-            for start, c in zip(h.bin_starts, h.counts):
-                fh.write(f"{basis},{start:g},{int(c)}\n")
 
 
 def _binned_row(fields):

@@ -1,4 +1,4 @@
-"""Jones calculus: projector bases, waveplates and local-unitary corrections.
+"""Jones calculus: projector bases and local-unitary corrections.
 
 Single-photon polarization states are length-2 complex vectors
 (H amplitude, V amplitude). The six analyzer settings are labelled
@@ -42,24 +42,6 @@ def projector_for(basis):
         return table[basis]
     except KeyError:
         raise ValidationError(f"unknown polarization label {basis!r}") from None
-
-
-def rotation(angle):
-    """2x2 real rotation matrix R(angle)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def waveplate_jones(retardance, fast_axis):
-    """Jones matrix of a retarder with its fast axis at ``fast_axis``.
-
-    J = R(fast_axis) diag(1, exp(-i*retardance)) R(-fast_axis), unitary
-    up to the chosen global phase. retardance pi is a half-wave plate,
-    pi/2 a quarter-wave plate.
-    """
-    core = np.diag([1.0, np.exp(-1j * retardance)])
-    r = rotation(fast_axis)
-    return r @ core @ r.T
 
 
 def tomography_bases(count):

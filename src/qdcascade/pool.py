@@ -3,7 +3,8 @@
 numpy releases the interpreter lock in its RNG fills, ufuncs, sorts and
 searches, so threads running numpy work overlap. ``map_helped`` runs its
 items on the threads of one process-wide pool. A call made from a pool
-thread (the pipeline's correlation tasks call the chunked correlator)
+thread (a pipeline correlation task calls the chunked correlator, and any
+caller on the pool may start an autocorrelation run's pulse blocks)
 takes items itself, and idle pool threads help; it waits only on helpers
 that have already started and cancels the rest, so it never waits on a
 thread that is busy with an outer call: nested calls cannot deadlock.

@@ -160,12 +160,6 @@ def project_physical(m, herm_tol=1e-6):
     return 0.5 * (rho + rho.conj().T)
 
 
-def trace_distance(rho, sigma):
-    """Trace distance 0.5*||rho - sigma||_1 between two 4x4 matrices."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
-
-
 def rho_to_dict(rho):
     """JSON-ready {"re": ..., "im": ...} form of a density matrix.
 
@@ -174,14 +168,3 @@ def rho_to_dict(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     return {"re": rho.real.tolist(), "im": rho.imag.tolist()}
-
-
-def rho_from_dict(obj):
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad density-matrix object: {exc}") from exc
-    if re.shape != (4, 4) or im.shape != (4, 4):
-        raise ValidationError("density-matrix re/im must both be 4x4")
-    return re + 1j * im

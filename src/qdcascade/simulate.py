@@ -18,11 +18,17 @@ inter-photon delay density exactly
 the double-sided-decay-with-dip shape seen in the center peak of the
 biexciton autocorrelation, with t_c = ``recapture_time``.
 
-All generators are deterministic for a fixed (config, seed) and emit
-integer-picosecond timestamps. A Bernoulli draw whose outcome is certain
+Both runs emit integer-picosecond timestamps that depend only on
+(config, seed). A projection run draws everything from one generator.
+An autocorrelation run is cut into blocks of ``_PULSE_BLOCK`` pulses;
+block k draws its pulses' photons, and the background over its own
+span of time, from child k of ``np.random.SeedSequence(seed)``. The
+blocks run on the shared pool and are joined in block order, so the
+thread count does not change a byte, but the block size does: it is
+part of the stream. A Bernoulli draw whose outcome is certain
 (probability 0 or 1) is not made: the generator is advanced past it
 instead, so every later draw is the same as if it had been made. Each
-channel is sorted once, in ``_finalize``.
+channel is sorted once, in ``_pack``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import pool
 from .constants import HBAR_UEV_PS
 from .errors import ValidationError, require_finite
 from .polarization import projector_for
@@ -45,6 +52,10 @@ CHANNEL_X = 1
 
 #: Pulses per block of the outcome computation in ``simulate_projection_run``.
 _BLOCK = 65_536
+
+#: Pulses per generator of ``simulate_autocorrelation_run``. Each block has its
+#: own child stream, so changing this changes every autocorrelation run.
+_PULSE_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -127,41 +138,51 @@ def _draws_below(rng, m, p):
     return p >= 1.0
 
 
-def _start_run(config, n_pulses, seed):
-    """Check ``n_pulses``; return the run's generator, its duration (ps) and
-    the start times (ps) of the pulses that excite the dot, in pulse order."""
+def _excited_times(rng, config, lo, hi):
+    """Start times (ps) of the pulses ``lo`` to ``hi - 1`` that excite the dot,
+    in pulse order."""
+    excited = _draws_below(rng, hi - lo, config.excitation_fraction)
+    pulses = np.arange(lo, hi) if excited is True else lo + np.flatnonzero(excited)
+    return pulses * config.rep_period_ps
+
+
+def _check_pulses(n_pulses):
     if not _is_integer(n_pulses) or n_pulses < 0:
         raise ValidationError("n_pulses must be a nonnegative integer")
-    rng = np.random.default_rng(seed)
-    period = config.rep_period_ps
-    excited = _draws_below(rng, n_pulses, config.excitation_fraction)
-    pulses = np.arange(n_pulses) if excited is True else np.flatnonzero(excited)
-    return rng, n_pulses * period, pulses * period
 
 
-def _background_times(rng, rate_cps, duration_ps):
-    n = rng.poisson(rate_cps * 1e-12 * duration_ps)
-    return rng.uniform(0.0, duration_ps, n)
+def _background_times(rng, rate_cps, start_ps, end_ps):
+    n = rng.poisson(rate_cps * 1e-12 * (end_ps - start_ps))
+    return rng.uniform(start_ps, end_ps, n)
 
 
-def _finalize(times, origins_code, channel, duration_ps, config, rng):
-    """Jitter, background, quantization and packaging of one channel.
-
-    The channel is sorted here, once: the events in [0, duration) are a slice
-    of the stably sorted stamps, as if they were filtered and then sorted."""
+def _detect(times, origins_code, config, rng, start_ps, end_ps):
+    """One channel's photons with jitter, then its background over
+    [start, end): integer stamps and origin codes, in that order, unsorted."""
     if config.jitter_sigma > 0 and len(times):
         times = times + rng.normal(0.0, config.jitter_sigma, len(times))
-    bg = _background_times(rng, config.background_rate, duration_ps)
+    bg = _background_times(rng, config.background_rate, start_ps, end_ps)
     origin = np.full(len(times) + len(bg), origins_code, dtype=np.uint8)
     origin[len(times):] = _ORIGIN_CODE["background"]
     times = np.concatenate([times, bg])  # a new array, so it may be rounded in place
-    stamps = np.rint(times, out=times).astype(np.int64)
+    return np.rint(times, out=times).astype(np.int64), origin
+
+
+def _pack(stamps, origin, channel, duration_ps):
+    """The stream of one channel's stamps: the events in [0, duration) are a
+    slice of the stably sorted stamps, as if they were filtered and then sorted."""
     order = np.argsort(stamps, kind="stable")
     stamps, origin = stamps.take(order), origin.take(order)
     # the stamps are integers, so stamp < duration_ps is stamp < ceil(duration_ps)
     lo, hi = np.searchsorted(stamps, (0, math.ceil(duration_ps)))
     return TimestampStream(np.full(hi - lo, channel, dtype=np.uint8), stamps[lo:hi],
                            duration_ps, origins=origin[lo:hi], _sorted=True)
+
+
+def _finalize(times, origins_code, channel, duration_ps, config, rng):
+    """Jitter, background, quantization and packing of one channel of a run."""
+    stamps, origin = _detect(times, origins_code, config, rng, 0.0, duration_ps)
+    return _pack(stamps, origin, channel, duration_ps)
 
 
 def _joint_outcomes(a, b, fss, d_x, u):
@@ -226,7 +247,10 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     and then survives with the combined setup and detector efficiency.
     Returns (xx_stream, x_stream) on channels 0 and 1.
     """
-    rng, duration, pulse_t = _start_run(config, n_pulses, seed)
+    _check_pulses(n_pulses)
+    rng = np.random.default_rng(seed)
+    duration = n_pulses * config.rep_period_ps
+    pulse_t = _excited_times(rng, config, 0, n_pulses)
     a, b = _resolve_pair(pair)
     m = len(pulse_t)
     d_xx = rng.exponential(config.tau_xx, m)
@@ -253,18 +277,12 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     return xx_stream, x_stream
 
 
-def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed):
-    """Hanbury Brown-Twiss run of one emission line through a 50:50 splitter.
-
-    X runs emit at most one photon per pulse, timed by the full cascade
-    (Exp(tau_xx) + Exp(tau_x) after the pulse). XX runs emit the XX
-    photon at Exp(tau_xx) and, with ``recapture_probability``, a second
-    XX photon after the recapture delay described in the module
-    docstring. Returns the two splitter-output streams.
-    """
-    if species not in ("X", "XX"):
-        raise ValidationError(f"species must be 'X' or 'XX', got {species!r}")
-    rng, duration, times = _start_run(config, n_pulses, seed)
+def _autocorrelation_block(config, species, n_pulses, seed_seq, lo):
+    """The photons of the block of pulses from ``lo`` and the background over
+    its span, as (stamps, origins) of splitter outputs a and b."""
+    rng = np.random.default_rng(seed_seq)
+    hi = min(lo + _PULSE_BLOCK, n_pulses)
+    times = _excited_times(rng, config, lo, hi)
     m = len(times)
 
     # times turns from pulse times into emission times in place (X: XX then X delay)
@@ -285,7 +303,35 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
     if detected is not True:
         times = np.compress(detected, times)
     to_a = rng.random(len(times)) < 0.5
+    span = (lo * config.rep_period_ps, hi * config.rep_period_ps)
+    return [_detect(np.compress(to_a, times), origin, config, rng, *span),
+            _detect(np.compress(~to_a, times), origin, config, rng, *span)]
 
-    stream_a = _finalize(np.compress(to_a, times), origin, 0, duration, config, rng)
-    stream_b = _finalize(np.compress(~to_a, times), origin, 1, duration, config, rng)
-    return stream_a, stream_b
+
+def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed):
+    """Hanbury Brown-Twiss run of one emission line through a 50:50 splitter.
+
+    X runs emit at most one photon per pulse, timed by the full cascade
+    (Exp(tau_xx) + Exp(tau_x) after the pulse). XX runs emit the XX
+    photon at Exp(tau_xx) and, with ``recapture_probability``, a second
+    XX photon after the recapture delay described in the module
+    docstring. The pulse blocks run on the shared pool. Returns the two
+    splitter-output streams.
+    """
+    if species not in ("X", "XX"):
+        raise ValidationError(f"species must be 'X' or 'XX', got {species!r}")
+    _check_pulses(n_pulses)
+    starts = range(0, max(n_pulses, 1), _PULSE_BLOCK)  # a run of no pulses is one empty block
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+    blocks = pool.map_helped(
+        lambda item: _autocorrelation_block(config, species, n_pulses, *item), zip(seeds, starts))
+    duration = n_pulses * config.rep_period_ps
+
+    def join(output):
+        stamps = np.concatenate([block[output][0] for block in blocks])
+        origin = np.concatenate([block[output][1] for block in blocks])
+        for block in blocks:  # the joined copy replaces the parts
+            block[output] = None
+        return _pack(stamps, origin, output, duration)
+
+    return tuple(pool.map_helped(join, (0, 1)))

@@ -186,7 +186,12 @@ def expected_probability(rho, pair):
 
 
 def _prepared(input):
-    """Setup, counts, pair flux and N_v of one input (see estimate_normalization)."""
+    """Setup, counts, pair flux and per-projection normalizations N_v of one input.
+
+    Every quadruple {(a,b), (a,b'), (a',b), (a',b')}, primes marking the
+    orthogonal partners, sums to the full pair flux; the flux averages
+    all quadruples present in the record set.
+    """
     if input.total_counts <= 0:
         raise ValidationError("total counts must be positive")
     setup = _projection_setup(tuple(r.basis_pair for r in input.records))
@@ -200,29 +205,6 @@ def _prepared(input):
     if flux <= 0:
         raise ValidationError("estimated pair flux is zero; cannot normalize counts")
     return setup, counts, flux, flux * weights
-
-
-def estimate_normalization(input: TomographyInput):
-    """Per-projection normalizations N_v from complete-basis count sums.
-
-    Every quadruple {(a,b), (a,b'), (a',b), (a',b')} with primes the
-    orthogonal partners sums to the full pair flux; the estimate
-    averages all quadruples present in the record set. Returns
-    (flux, N_v array aligned with input.records).
-    """
-    _, _, flux, norms = _prepared(input)
-    return flux, norms
-
-
-def linear_inversion(input: TomographyInput):
-    """Direct linear solve of counts -> density-matrix entries.
-
-    Returns a Hermitian (symmetrized) 4x4 matrix that may have negative
-    eigenvalues when the counts are noisy; it is the standard seed for
-    the maximum-likelihood step. Raises on a degenerate projection set.
-    """
-    setup, counts, _, norms = _prepared(input)
-    return _linear_inversion(setup, counts, norms)
 
 
 def _linear_inversion(setup, counts, norms):

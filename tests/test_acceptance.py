@@ -10,10 +10,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_input, random_physical_rho, random_unitary2
+from conftest import make_input, random_physical_rho, random_unitary2, waveplate_jones
 from qdcascade import (PHI_PLUS, concurrence, correction_unitary, cross_correlate,
                        density_of, fidelity, fit_model, fss_from_period, g2_zero,
-                       mle_reconstruct, time_evolved_state, waveplate_jones)
+                       mle_reconstruct, time_evolved_state)
 from qdcascade.config import RunConfig
 from qdcascade.fitting import _MODELS, poisson_weights
 from qdcascade.pipeline import cmd_simulate, cmd_tomo

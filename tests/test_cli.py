@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_input
+from conftest import make_input, rho_from_dict, write_tomo_csv
 from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
                        bootstrap_metrics, density_of, import_stream, time_evolved_state)
 from qdcascade import pipeline, pool
@@ -14,11 +14,9 @@ from qdcascade.correlations import cross_correlate
 from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
 from qdcascade.errors import FitError, ParseError, ValidationError
-from qdcascade.io import (read_projection_csv, write_binned_csv, write_histogram_csv,
-                          write_projection_csv)
+from qdcascade.io import read_projection_csv, write_histogram_csv
 from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
 from qdcascade.polarization import tomography_bases
-from qdcascade.quantum import rho_from_dict
 from qdcascade.simulate import EmitterConfig, simulate_autocorrelation_run
 from qdcascade.tomography import TomographyInput, expected_probability
 
@@ -176,7 +174,7 @@ class TestTomoCommand:
 
     def test_binned_csv_input(self, tmp_path):
         csv = tmp_path / "binned.csv"
-        write_binned_csv(binned_histograms(), csv)
+        write_tomo_csv(csv, binned_histograms())
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
         rc = main(["tomo", "--config", str(cfg_path), "--binned", str(csv)])
         assert rc == 0
@@ -187,7 +185,7 @@ class TestTomoCommand:
     def test_counts_csv_single_bin(self, tmp_path):
         inp = make_input(density_of(PHI_PLUS), 1e5, 36)
         csv = tmp_path / "counts.csv"
-        write_projection_csv(inp, csv)
+        write_tomo_csv(csv, inp)
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
         rc = main(["tomo", "--config", str(cfg_path), "--counts", str(csv)])
         assert rc == 0
@@ -201,8 +199,7 @@ class TestTomoCommand:
                          rng=np.random.default_rng(11), weights=weights)
         # sorted basis order is the order every bin is reconstructed in
         csv = tmp_path / "counts.csv"
-        write_projection_csv(
-            TomographyInput(sorted(inp.records, key=lambda r: r.basis_pair)), csv)
+        write_tomo_csv(csv, TomographyInput(sorted(inp.records, key=lambda r: r.basis_pair)))
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None, bootstrap_samples=4)
         assert main(["tomo", "--config", str(cfg_path), "--counts", str(csv)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -220,7 +217,7 @@ class TestTomoCommand:
     def test_counts_csv_respects_min_counts(self, tmp_path):
         inp = make_input(density_of(PHI_PLUS), 1e3, 36)
         csv = tmp_path / "counts.csv"
-        write_projection_csv(inp, csv)
+        write_tomo_csv(csv, inp)
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None,
                                 min_counts_per_bin=inp.total_counts + 1)
         report = cmd_tomo(load_config(cfg_path), counts_csv=str(csv))
@@ -231,7 +228,7 @@ class TestTomoCommand:
 
     def test_binned_csv_bootstrap_is_deterministic(self, tmp_path):
         csv = tmp_path / "binned.csv"
-        write_binned_csv(binned_histograms(3), csv)
+        write_tomo_csv(csv, binned_histograms(3))
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None, bootstrap_samples=3)
         for out in ("a", "b"):
             assert main(["tomo", "--config", str(cfg_path), "--binned", str(csv),
@@ -249,7 +246,7 @@ class TestTomoCommand:
             csv.write_text("basis,counts,weight\n" + "".join(
                 f"{label},{h.counts[0]},1\n" for label, h in hists.items()))
         else:
-            write_binned_csv(hists, csv)
+            write_tomo_csv(csv, hists)
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
         assert main(["tomo", "--config", str(cfg_path), source, str(csv)]) == 1
         assert f"{n_pairs}" in capsys.readouterr().err
@@ -557,7 +554,7 @@ class TestExitCodes:
     def test_bad_config_value_is_1_with_no_output(self, tmp_path, capsys, command, key, value):
         cfg = str(write_config(tmp_path, n_pulses=2000))
         csv = tmp_path / "binned.csv"
-        write_binned_csv(binned_histograms(2), csv)
+        write_tomo_csv(csv, binned_histograms(2))
         source = ["--binned", str(csv)] if command == "tomo" else []
         out = tmp_path / "o3"
         argv = [command, "--config", cfg, "--set", f"{key}={value}", *source, "--out", str(out)]
@@ -627,7 +624,7 @@ class TestExitCodes:
     def test_bad_tomo_input_makes_no_output_tree(self, tmp_path, case):
         cfg = str(write_config(tmp_path, n_pulses=2000))
         csv = tmp_path / "input.csv"
-        write_binned_csv(dict(list(binned_histograms(2).items())[:16]), csv)
+        write_tomo_csv(csv, dict(list(binned_histograms(2).items())[:16]))
         source = {"counts_missing": ["--counts", str(tmp_path / "missing.csv")],
                   "binned_missing": ["--binned", str(tmp_path / "missing.csv")],
                   "wrong_pair_count": ["--binned", str(csv)]}[case]

@@ -239,14 +239,15 @@ def _digest(hist):
 
 
 def test_recapture_run_histograms_are_pinned():
-    # digests of the earlier pair-expansion implementation, which any window
-    # walk must reproduce bit for bit; the g2 and recapture fit use these shapes
+    # recorded when the autocorrelation run was cut into seeded pulse blocks;
+    # on the earlier whole-run streams this walk matched the pair-expansion
+    # correlator bit for bit. The g2 and recapture fit use these shapes
     cfg = EmitterConfig(recapture_probability=0.36)
     a, b = simulate_autocorrelation_run(cfg, "XX", 150_000, seed=3)
     wide = cross_correlate(a, b, 50.0, 5.5 * cfg.rep_period_ps)
-    assert _digest(wide) == "c37b2587ccbcea57c4625af8f4d86a756031dd1212364085ed50ddfd1fb58309"
+    assert _digest(wide) == "e46c6d30b556f004c7eb7c07c111c60135a6d4b07e324d43c55271ac82c30ebc"
     center = cross_correlate(a, b, 25.0, 4000.0)
-    assert _digest(center) == "fdd78787fff69433457e8c1c71073cd73656664aed642a6bdd79922c687e0f71"
+    assert _digest(center) == "408f7322b200d8f9ab8074f9cb72c4b18e3ff09b165bfba87f09aa2177e9ae44"
 
 
 def test_projection_run_histogram_is_pinned():

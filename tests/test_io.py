@@ -1,14 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_input
+from conftest import make_input, write_tomo_csv
 from qdcascade import PHI_PLUS, Histogram, ParseError, ValidationError, density_of
 from qdcascade.io import (dump_json, read_binned_csv, read_histogram_csv,
-                          read_projection_csv, round_floats, round_sig,
-                          write_binned_csv, write_histogram_csv,
-                          write_projection_csv)
+                          read_projection_csv, round_floats, round_sig, write_histogram_csv)
 from qdcascade.tomography import ProjectionRecord, TomographyInput
 
 
@@ -37,7 +36,7 @@ class TestProjectionCsv:
     def test_round_trip(self, tmp_path):
         inp = make_input(density_of(PHI_PLUS), 1e4, 16)
         path = tmp_path / "counts.csv"
-        write_projection_csv(inp, path)
+        write_tomo_csv(path, inp)
         back = read_projection_csv(path)
         assert [r.basis_pair for r in back.records] == [r.basis_pair for r in inp.records]
         assert [r.counts for r in back.records] == [r.counts for r in inp.records]
@@ -49,7 +48,7 @@ class TestProjectionCsv:
                                               (123_456_789_012.0, 0.1)]):
             records[k] = ProjectionRecord(records[k].basis_pair, counts, weight)
         path = tmp_path / "counts.csv"
-        write_projection_csv(TomographyInput(records), path)
+        write_tomo_csv(path, TomographyInput(records))
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[1:] == ["1506172", "1"]
         assert lines[2].split(",")[1:] == ["37", "0.66666666666666663"]
@@ -79,7 +78,7 @@ class TestBinnedCsv:
             "VV": Histogram(100.0, 0.0, np.array([1, 2, 3])),
         }
         path = tmp_path / "binned.csv"
-        write_binned_csv(hists, path)
+        write_tomo_csv(path, hists)
         back = read_binned_csv(path)
         assert set(back) == {"HH", "VV"}
         assert np.array_equal(back["HH"].counts, [5, 6, 7])
@@ -109,6 +108,17 @@ class TestHistogramCsv:
         path.write_text("bin_start_ps,counts\n0,1\n100,2\n250,3\n")
         with pytest.raises(ValidationError, match="uniform"):
             read_histogram_csv(path)
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_histogram_csv, "bin_start_ps,counts\n-inf,1\n100,2\n200,3\n"),
+    (read_binned_csv, "basis,bin_start_ps,counts\nHH,-inf,1\nHH,100,2\nHH,200,3\n"),
+], ids=["histogram", "binned"])
+def test_non_finite_bin_start_names_the_file(tmp_path, reader, text):
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: bin_start_ps .*finite"):
+        reader(path)
 
 
 @pytest.mark.parametrize("reader,header,row", [

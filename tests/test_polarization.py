@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_physical_rho
+from conftest import random_physical_rho, waveplate_jones
 from qdcascade import (PHI_PLUS, ValidationError, apply_correction, concurrence,
-                       correction_unitary, density_of, projector_for,
-                       tomography_bases, waveplate_jones)
+                       correction_unitary, density_of, projector_for, tomography_bases)
 from qdcascade.polarization import BASIS_LABELS, ORTHOGONAL, CorrectionUnitary
 from qdcascade.quantum import validate_density_matrix
 

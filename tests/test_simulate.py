@@ -11,7 +11,7 @@ from scipy import stats
 from qdcascade import (HBAR_UEV_PS, RunConfig, ValidationError, cross_correlate,
                        density_of, time_evolved_state)
 from qdcascade.polarization import ORTHOGONAL, projector_for
-from qdcascade import simulate
+from qdcascade import pool, simulate
 from qdcascade.simulate import (EmitterConfig, _draws_below, simulate_autocorrelation_run,
                                 simulate_projection_run)
 from qdcascade.tomography import expected_probability
@@ -303,7 +303,31 @@ def test_projection_run_peak_memory():
     assert peak < 60e6
 
 
+def test_autocorrelation_run_peak_memory():
+    # each block of pulses is drawn and reduced to its detected events on
+    # its own, so the working memory follows the events, not n_pulses;
+    # drawing the whole run at once peaked at 115-120 MB
+    config = EmitterConfig(setup_efficiency=0.05, recapture_probability=0.36)
+    tracemalloc.start()
+    try:
+        simulate_autocorrelation_run(config, "XX", 4_000_000, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 class TestAutocorrelationRun:
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        config = EmitterConfig(background_rate=5e5, jitter_sigma=35.0, recapture_probability=0.4)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "WORKERS", workers)
+            runs[workers] = [(s.timestamps_ps.tobytes(), s.origins.tobytes())
+                             for s in simulate_autocorrelation_run(config, "XX", 600_000, seed=7)]
+        assert runs[1] == runs[2]
+        assert 600_000 > 4 * simulate._PULSE_BLOCK  # several blocks per worker
+
     def test_x_species_is_antibunched(self):
         cfg = EmitterConfig(rep_rate=8.0)  # isolate the zero-delay window
         a, b = simulate_autocorrelation_run(cfg, "X", 300_000, seed=1)
@@ -362,23 +386,23 @@ class TestAutocorrelationRun:
             simulate_autocorrelation_run(DEFAULTS, "T", 100, seed=0)
 
     # SHA-256 over timestamps_ps then origins of both splitter outputs at
-    # 150,000 pulses, recorded when the simulator still selected events with
-    # boolean masks; selecting by index must give the same bytes
+    # 150,000 pulses, recorded when the run was first cut into blocks of
+    # 2**17 pulses with a child generator each; the run crosses one block edge
     @pytest.mark.parametrize("config,species,digest", [
         pytest.param(EmitterConfig(background_rate=2e5, jitter_sigma=35.0), "X",
-                     "d22b0b4fe5f89f012ee046948bd1571bf17662f5b4d21d547ca52c009908cbf3",
+                     "d206c187d7660f881f4dbf26b3d512febd84490fbd29f70851a7845f4001cc16",
                      id="X-background-jitter"),
         pytest.param(EmitterConfig(recapture_probability=0.36), "XX",
-                     "8c32f65b4e8f532e236b319033c584d922311613c918a6d21000f6011725395b",
+                     "42f35a9ad3aae9ba40a9ef348ccbb574fca7a31ec466c95ed82eb76c736586ab",
                      id="XX-recapture"),
         pytest.param(EmitterConfig(excitation_fraction=0.8, setup_efficiency=0.6), "X",
-                     "0a849248ca7a47b6ff9d2e1a274032106397bf98776049967d0377b8f2abe4e0",
+                     "acdba26f927a41dc01686c3c1864a19a62984ed42cd720a1f3d476547728cb95",
                      id="X-lossy"),
         pytest.param(EmitterConfig(excitation_fraction=0.8, setup_efficiency=0.6), "XX",
-                     "24e94057cf12ff6b169cde9dda67df544c2b9c9558cf0e652f01ebf696c40724",
+                     "bc2425dc3aaadc047a3bbb187abce4798773550c6a4687797825b77aef6ff86a",
                      id="XX-lossy"),
         pytest.param(EmitterConfig(recapture_probability=0.0), "XX",
-                     "c31729e8d1e0b48e7230ef5b4e84e3ddb59ec1ff2a157fef6b383641a5d7e634",
+                     "535a43e0f1f2e197f946fa0378a111b007b8b197e810f5246f4afcba65e66fc2",
                      id="XX-no-recapture"),
     ])
     def test_output_is_pinned(self, config, species, digest):

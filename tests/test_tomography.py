@@ -4,18 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import make_input, random_physical_rho
+from conftest import (estimate_normalization, linear_inversion, make_input,
+                      random_physical_rho, trace_distance)
 from qdcascade import (HBAR_UEV_PS, PHI_PLUS, ValidationError, concurrence,
-                       density_of, fidelity, linear_inversion, mle_reconstruct,
-                       neg_log_likelihood, project_physical, rho_from_t,
-                       time_evolved_state, trace_distance)
+                       density_of, fidelity, mle_reconstruct, neg_log_likelihood,
+                       project_physical, rho_from_t, time_evolved_state)
 from qdcascade.correlations import Histogram
 from qdcascade.polarization import projector_for, tomography_bases
 from qdcascade import tomography
 from qdcascade.tomography import (ProjectionRecord, TomographyInput,
                                   _hessian, _objective_and_grad, _prepared, _t_from_rho,
-                                  bootstrap_metrics,
-                                  estimate_normalization, expected_probability,
+                                  bootstrap_metrics, expected_probability,
                                   time_binned_tomography)
 
 VV = np.array([0, 0, 0, 1], dtype=complex)
