@@ -1,13 +1,15 @@
 """Coincidence histogramming and the pulsed g2(0) procedure.
 
 Delay histograms count event pairs with t_b - t_a inside half-open bins
-of fixed width. The a-events are cut into chunks of about 65,536 that
-the threads of the package's one pool (``pool.map_helped``) correlate
-at once. Each chunk is one binary search
-for each event's first partner, then one vectorized pass per window
-occupancy (the most partners any event has), each compacting its events
-by index, so memory scales with the events of the chunks in flight, not
-with pairs. g2(0) follows the side-peak normalization:
+of fixed width. The bins cover one interval of integer delays, so a
+pair is tested by one integer compare. The a-events are cut into chunks
+of about 65,536 that the threads of the package's one pool
+(``pool.map_helped``) correlate at once. A chunk searches only the slice
+of stream b its windows reach: one binary search for each event's first
+partner, then one vectorized pass per window occupancy (the most
+partners any event has), until each event's walk leaves its window or
+the slice. So memory scales with the events of the chunks in flight,
+not with pairs. g2(0) follows the side-peak normalization:
 Lorentzian fits to the side peaks set the window width (their mean
 FWHM), and the zero-delay window sum is divided by the mean side-peak
 window sum.
@@ -15,6 +17,7 @@ window sum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,6 +71,8 @@ def _sorted_timestamps(stream_or_array):
 #: arrays (0.5 MB per int64 array) stay in cache.
 _CHUNK = 65_536
 
+_I64 = np.iinfo(np.int64)
+
 
 def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     """Histogram of delays t_b - t_a over [-max_delay, +max_delay).
@@ -76,12 +81,14 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     interpreted as integer picoseconds and inputs need not be sorted.
     An empty input yields an all-zero histogram and a warning.
 
-    The sorted a-events are cut into contiguous chunks of about
-    ``_CHUNK`` events, which the pool's threads correlate against all of
-    stream b (``pool.map_helped``); a call made on a busy pool's thread
-    runs its chunks itself. Each event's pairs do not depend on its chunk
-    and the chunk counts are integers, so their sum is the same histogram
-    on any number of threads.
+    The bins are turned once into the interval of integer delays they
+    cover (``_delay_window``), so no float window test is made per event.
+    The sorted a-events are then cut into contiguous chunks of about
+    ``_CHUNK`` events, which the pool's threads correlate
+    (``pool.map_helped``); a call made on a busy pool's thread runs its
+    chunks itself. Each event's pairs do not depend on its chunk and the
+    chunk counts are integers, so their sum is the same histogram on any
+    number of threads.
     """
     require_finite(bin_width=bin_width, max_delay=max_delay)
     if bin_width <= 0 or max_delay <= 0:
@@ -94,40 +101,87 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
         warnings.warn("cross_correlate: empty stream, returning zero histogram")
         return Histogram(bin_width, origin, np.zeros(n_bins, dtype=np.int64))
 
+    d_lo, d_hi = _delay_window(origin, n_bins, bin_width)
     n_chunks = -(-len(ta) // _CHUNK)
     edges = [k * len(ta) // n_chunks for k in range(n_chunks + 1)]
 
     def chunk_counts(k):
-        return _delay_counts(ta[edges[k]:edges[k + 1]], tb, origin, n_bins, bin_width)
+        return _delay_counts(ta[edges[k]:edges[k + 1]], tb, d_lo, d_hi - 1,
+                             origin, n_bins, bin_width)
 
     counts = np.sum(map_helped(chunk_counts, range(n_chunks)), axis=0)
     return Histogram(bin_width, origin, counts)
 
 
-def _delay_counts(ta, tb, origin, n_bins, bin_width):
-    """Delay counts of the sorted events ``ta`` against all of sorted ``tb``.
+def _bins(delays, origin, bin_width):
+    """floor((d - origin) / bin_width), as floats: the one binning rule."""
+    return np.floor((delays - origin) / bin_width)
 
-    Pass k bins the k-th partner of every event whose window still has
-    one, so the loop runs once per window occupancy and never holds more
-    than one partner per event. Each pass compacts its events by one
-    np.flatnonzero index, not a boolean mask, then regathers their partners.
+
+def _delay_window(origin, n_bins, bin_width):
+    """The integer delays [d_lo, d_hi) whose bin lies in [0, n_bins).
+
+    The bin never falls as the delay grows, so these delays are one
+    interval. Each end is the least int64 delay whose bin reaches 0 or
+    ``n_bins``, found from a guess near it by the same float expression
+    that bins the delays; ``d_hi`` is 2**63 when no int64 delay reaches
+    ``n_bins``.
     """
-    counts = np.zeros(n_bins, dtype=np.int64)
-    # tb holds integers, so tb >= ta + origin exactly when tb >= ceil(ta + origin)
-    j = np.searchsorted(tb, np.ceil(ta + origin).astype(np.int64))  # first partner
+    def first(k, guess):
+        def below(d):  # true below every int64, false above every one
+            return d < _I64.min or (d <= _I64.max and _bins(np.int64(d), origin, bin_width) < k)
+
+        # step out from the guess in doubling strides until the bracket
+        # holds, then halve it: a few evaluations when the guess is near
+        lo = hi = guess
+        step = 1
+        while below(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+        while not below(lo):
+            lo, hi, step = lo - step, lo, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return hi
+
+    return first(0, math.ceil(origin)), first(n_bins, math.ceil(origin + n_bins * bin_width))
+
+
+def _delay_counts(ta, tb, d_lo, d_last, origin, n_bins, bin_width):
+    """Delay counts of the sorted events ``ta`` against sorted ``tb``.
+
+    Only the delays ``d_lo <= d <= d_last`` have a bin in [0, n_bins).
+    Two binary searches on the chunk's end events cut the slice of ``tb``
+    that holds every partner (a view), and each event's first partner is
+    searched in that slice on integer keys. Pass k then takes the k-th
+    partner of every event whose walk goes on: one integer compare keeps
+    the delays up to ``d_last``, ending the other walks, and only the
+    kept delays are binned. So the loop runs once per window occupancy
+    and never holds more than one partner per event.
+    """
+    lo = np.searchsorted(tb, int(ta[0]) + d_lo)  # d_lo >= the int64 minimum, ta >= 0
+    hi = np.searchsorted(tb, min(int(ta[-1]) + d_last, _I64.max), side="right")
+    b = tb[lo:hi]
+    j = np.searchsorted(b, ta + d_lo)  # first partner
     a = ta  # the events whose window may still hold partner j
-    while j.size:
-        t = tb.take(j, mode="clip")  # j == len(tb) is dropped just below
-        keep = np.flatnonzero((t < a + origin + n_bins * bin_width) & (j < len(tb)))
-        del t  # gathered again from tb below: as cheap as compacting it, and one array fewer
-        a = a.take(keep)  # one at a time: each old array is freed before the next copy
+    counts = np.zeros(n_bins, dtype=np.int64)
+    while True:
+        # j never falls from one event to the next (the keys rise, and each
+        # pass keeps events in order and steps all of them by one), so the
+        # walks that reached the end of the slice are a suffix: cut it off
+        live = np.searchsorted(j, len(b))
+        if not live:
+            return counts
+        a, j = a[:live], j[:live]
+        d = b.take(j)
+        d -= a
+        keep = np.flatnonzero(d <= d_last)
+        d = d.take(keep)  # one at a time: each old array is freed before the next copy
+        a = a.take(keep)
         j = j.take(keep)
         del keep  # an int64 per event; freed before the bin indices are formed
-        idx = np.floor((tb.take(j) - a - origin) / bin_width).astype(np.int64)
-        # a non-integral origin can put idx at -1 on the window's lower edge
-        counts += np.bincount(np.compress((idx >= 0) & (idx < n_bins), idx), minlength=n_bins)
+        counts += np.bincount(_bins(d, origin, bin_width).astype(np.int64), minlength=n_bins)
         j += 1
-    return counts
 
 
 @dataclass

@@ -142,8 +142,11 @@ def _excited_times(rng, config, lo, hi):
     """Start times (ps) of the pulses ``lo`` to ``hi - 1`` that excite the dot,
     in pulse order."""
     excited = _draws_below(rng, hi - lo, config.excitation_fraction)
-    pulses = np.arange(lo, hi) if excited is True else lo + np.flatnonzero(excited)
-    return pulses * config.rep_period_ps
+    # float pulse numbers are exact below 2**53
+    pulses = (np.arange(lo, hi, dtype=float) if excited is True
+              else np.flatnonzero(excited) + float(lo))
+    pulses *= config.rep_period_ps
+    return pulses
 
 
 def _check_pulses(n_pulses):
@@ -258,11 +261,13 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     outcome = _joint_outcomes(a, b, config.fss, d_x, rng.random(m))
 
     # outcomes 0 and 1 pass the XX arm (a), outcomes 0 and 2 the X arm (b);
-    # a certain efficiency draw is a bool, which ``&`` broadcasts
-    eff = config.total_efficiency
-    xx_detected = (outcome <= 1) & _draws_below(rng, m, eff)
-    x_detected = ((outcome & 1) == 0) & _draws_below(rng, m, eff)
+    # then each photon survives its efficiency draw, drawn XX first
+    xx_detected, x_detected = outcome <= 1, (outcome & 1) == 0
     del outcome
+    for detected in (xx_detected, x_detected):
+        survived = _draws_below(rng, m, config.total_efficiency)
+        if survived is not True:
+            detected &= survived
 
     # pulse_t becomes the XX emission times, then the X emission times
     pulse_t += d_xx

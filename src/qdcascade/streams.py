@@ -80,10 +80,6 @@ class TimestampStream:
             return None
         return np.array([_CODE_ORIGIN.get(int(c), "?") for c in self.origins])
 
-    def without_truth(self):
-        return TimestampStream(self.channels, self.timestamps_ps, self.duration_ps,
-                               origins=None, _sorted=True)
-
 
 _REC_V1 = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _REC_V2 = np.dtype([("channel", "u1"), ("origin", "u1"), ("timestamp", "<u8")])

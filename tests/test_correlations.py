@@ -146,6 +146,25 @@ class TestCrossCorrelate:
         h = cross_correlate(np.array([9_999]), tb, 100.0, 1_000.0)
         assert h.total() == np.count_nonzero(tb >= 8_999)
 
+    @pytest.mark.parametrize("md", [250.3, 250.7, 250.95])
+    @pytest.mark.parametrize("offset", [2**40, 10**15, 2**52, 2**63 - 2_000])
+    def test_window_edges_at_long_acquisition_times(self, offset, md):
+        # from 1e15 ps on, float64 steps by 0.125 ps or more, so a window
+        # edge formed as a float timestamp moved by up to one integer. The
+        # partners sit at every delay from before the lower edge (-250) to
+        # past the fractional upper one (299.7, 299.3 or 299.05)
+        ta = offset + np.array([0, 7, 1_000])
+        tb = offset + np.arange(-260, 1_310)
+        h = cross_correlate(ta, tb, 50.0, md)
+        assert np.array_equal(h.counts, brute_force_histogram(ta, tb, 50.0, md))
+
+    def test_window_wider_than_any_delay(self):
+        # every int64 delay is in the window: its ends are cut to the int64 range
+        ta = np.array([0, 5, 2**62, 2**63 - 1])
+        h = cross_correlate(ta, ta[::-1], 1e18, 1e19)
+        assert h.total() == 16
+        assert np.array_equal(h.counts, brute_force_histogram(ta, ta, 1e18, 1e19))
+
     @given(
         ta=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
         tb=st.lists(st.integers(0, 3_000), min_size=1, max_size=60),
@@ -177,6 +196,18 @@ class TestChunkedCorrelate:
             mp.setattr(correlations, "_CHUNK", chunk)
             h = cross_correlate(np.array(ta), np.array(tb), bw, md)
         assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+    def test_last_chunk_runs_past_the_end(self, rng, chunk, monkeypatch):
+        # b ends well before a does, so the last chunks' windows (and some
+        # of the middle ones) reach past the last b-event
+        monkeypatch.setattr(correlations, "_CHUNK", chunk)
+        for bw, md in ((50.0, 1_500.0), (7.5, 333.3), (0.6, 40.2)):
+            ta = rng.integers(0, 10_000, 40)
+            tb = rng.integers(0, 8_000, 30)
+            assert ta.max() - md > tb.max()
+            h = cross_correlate(ta, tb, bw, md)
+            assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
 
     def test_calls_inside_pool_items_finish(self, rng, tmp_path):
         # the outer items occupy the pool, so each inner call's helper queues
@@ -232,6 +263,21 @@ class TestChunkedCorrelate:
             release.set()
             for blocker in blockers:
                 blocker.result(timeout=30)
+
+
+@pytest.mark.parametrize("bw,md", [(0.3, 7.45), (0.7, 0.35), (0.25, 0.1251), (2.5, 41.2),
+                                   (7.7, 100.05), (33.3, 250.0), (1e3, 3.7e17)])
+def test_delay_window_edges(bw, md):
+    # the bin of a delay as the oracle forms it; near 3.7e17 ps the float
+    # spacing is 64 ps, so the edge lies far from the float guess
+    n_bins = int(np.ceil(2.0 * md / bw - 1e-9))
+    d_lo, d_hi = correlations._delay_window(-md, n_bins, bw)
+
+    def bin_of(d):
+        return np.floor((np.int64(d) + md) / bw)
+
+    assert bin_of(d_lo - 1) < 0 <= bin_of(d_lo)
+    assert bin_of(d_hi - 1) < n_bins <= bin_of(d_hi)
 
 
 def _digest(hist):

@@ -44,10 +44,6 @@ class TestStreamType:
         with pytest.raises(ValidationError, match="nonnegative|below the stream duration"):
             TimestampStream(np.zeros(3), ts, 10.0, _sorted=in_order)
 
-    def test_without_truth(self):
-        s = small_stream().without_truth()
-        assert s.origins is None
-
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 class TestRoundTrip:
