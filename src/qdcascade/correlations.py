@@ -4,7 +4,8 @@ Delay histograms count event pairs with t_b - t_a inside half-open bins
 of fixed width. The bins cover one interval of integer delays, so a
 pair is tested by one integer compare. The a-events are cut into chunks
 of about 65,536 that the threads of the package's one pool
-(``pool.map_helped``) correlate at once. A chunk searches only the slice
+(``pool.parallel_map``) correlate at once; a call made on a pool thread
+correlates its chunks itself. A chunk searches only the slice
 of stream b its windows reach: one binary search for each event's first
 partner, then one vectorized pass per window occupancy (the most
 partners any event has), until each event's walk leaves its window or
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ComputationError, FitError, ValidationError, require_finite
 from .fitting import fit_model, poisson_weights
-from .pool import map_helped
+from .pool import parallel_map
 from .streams import TimestampStream
 
 
@@ -85,17 +86,20 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
     cover (``_delay_window``), so no float window test is made per event.
     The sorted a-events are then cut into contiguous chunks of about
     ``_CHUNK`` events, which the pool's threads correlate
-    (``pool.map_helped``); a call made on a busy pool's thread runs its
-    chunks itself. Each event's pairs do not depend on its chunk and the
-    chunk counts are integers, so their sum is the same histogram on any
-    number of threads.
+    (``pool.parallel_map``); a call made on a pool thread, such as a
+    pipeline correlation task, runs its chunks itself. Each event's pairs
+    do not depend on its chunk and the chunk counts are integers, so their
+    sum is the same histogram on any number of threads.
     """
     require_finite(bin_width=bin_width, max_delay=max_delay)
     if bin_width <= 0 or max_delay <= 0:
         raise ValidationError("bin_width and max_delay must be positive")
+    n_bins = int(np.ceil(2.0 * max_delay / bin_width - 1e-9))
+    if n_bins < 1:
+        raise ValidationError(f"max_delay {max_delay!r} spans no bin of bin_width "
+                              f"{bin_width!r}: 2*max_delay/bin_width must exceed 1e-9")
     ta = _sorted_timestamps(stream_a)
     tb = _sorted_timestamps(stream_b)
-    n_bins = int(np.ceil(2.0 * max_delay / bin_width - 1e-9))
     origin = -float(max_delay)
     if len(ta) == 0 or len(tb) == 0:
         warnings.warn("cross_correlate: empty stream, returning zero histogram")
@@ -109,7 +113,7 @@ def cross_correlate(stream_a, stream_b, bin_width, max_delay):
         return _delay_counts(ta[edges[k]:edges[k + 1]], tb, d_lo, d_hi - 1,
                              origin, n_bins, bin_width)
 
-    counts = np.sum(map_helped(chunk_counts, range(n_chunks)), axis=0)
+    counts = np.sum(parallel_map(chunk_counts, range(n_chunks)), axis=0)
     return Histogram(bin_width, origin, counts)
 
 

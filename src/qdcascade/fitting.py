@@ -395,7 +395,9 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     energies = np.asarray(peak_energies, dtype=float)
     if angles.shape != energies.shape or angles.ndim != 1:
         raise ValidationError("angles and energies must be 1-d arrays of equal length")
-    require_finite(angles=angles, energies=energies)
+    require_finite(angles=angles, energies=energies, harmonic=harmonic)
+    if harmonic == 0:  # the sine column of the design would be all zeros
+        raise ValidationError("harmonic must be nonzero")
     if len(angles) < 8:
         raise ValidationError("need at least 8 angular samples")
     if angles.max() - angles.min() < np.pi - 1e-9:

@@ -22,7 +22,7 @@ from .correlations import Histogram, cross_correlate
 from .errors import FitError, ValidationError
 from .fitting import fit_model
 from .polarization import CorrectionUnitary, apply_correction, tomography_bases
-from .pool import map_helped
+from .pool import parallel_map
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
 from .streams import export_stream, import_stream
@@ -39,10 +39,11 @@ def _child_seed(seed, index):
 def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
     """Generate per-projection stream pairs plus a manifest.
 
-    One projection run per basis pair of the configured set, run on the
-    package's shared thread pool (``pool.map_helped``), each with its own
-    child seed derived from the run seed, so reruns with the same config
-    are byte-identical.
+    One projection run per basis pair of the configured set, each with
+    its own child seed derived from the run seed, so reruns with the same
+    config are byte-identical. The runs go to the package's shared thread
+    pool (``pool.parallel_map``); a call made on a pool thread runs them
+    itself.
     """
     out_dir = out_dir or config.io.output_dir
     sim = config.simulation
@@ -69,7 +70,7 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
         }
 
     bases = tomography_bases(config.tomography.basis_count)
-    files = map_helped(run, enumerate(bases))
+    files = parallel_map(run, enumerate(bases))
 
     manifest = {
         "toolkit_version": __version__,
@@ -116,7 +117,7 @@ def _histograms_from_manifest(manifest_path, config: RunConfig):
         full = cross_correlate(xx, x, width, n_pos * width)
         return Histogram(width, 0.0, full.counts[n_pos:])
 
-    return dict(zip(expected, map_helped(correlate, expected)))
+    return dict(zip(expected, parallel_map(correlate, expected)))
 
 
 def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,

@@ -1,13 +1,12 @@
-"""The package's one parallel map: a shared thread pool whose threads help each other.
+"""The package's one parallel map, on a shared thread pool.
 
 numpy releases the interpreter lock in its RNG fills, ufuncs, sorts and
-searches, so threads running numpy work overlap. ``map_helped`` runs its
-items on the threads of one process-wide pool. A call made from a pool
-thread (a pipeline correlation task calls the chunked correlator, and any
-caller on the pool may start an autocorrelation run's pulse blocks)
-takes items itself, and idle pool threads help; it waits only on helpers
-that have already started and cancels the rest, so it never waits on a
-thread that is busy with an outer call: nested calls cannot deadlock.
+searches, so threads running numpy work overlap. ``parallel_map`` follows
+one rule. A call made on a pool thread (a pipeline correlation task
+calls the chunked correlator, and any caller on the pool may start an
+autocorrelation run's pulse blocks) runs its own items, as does any call
+with one worker or fewer than two items. So a pool thread never waits on
+the pool, and nested calls cannot deadlock.
 
 Any other caller, such as the main thread, hands every item to the pool
 and waits. Its own work would cost more there: 12 closed-loop stream
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 
 def _worker_count():
@@ -33,8 +32,8 @@ def _worker_count():
 
 
 #: Threads that work on one call at once. At 1M pulses one pipeline task
-#: peaks at 34-37 MB (simulation and export) or 22-29 MB (stream import
-#: and correlation).
+#: peaks at 34-37 MB (simulation and export) or about 13 MB (stream
+#: import and correlation).
 WORKERS = _worker_count()
 
 _executor = None
@@ -56,66 +55,39 @@ def _pool():
         return _executor
 
 
-class _Job:
-    """The items of one call, taken in order by whichever thread is free."""
+def parallel_map(fn, items):
+    """``[fn(item) for item in items]``, on the pool's threads when the
+    caller is not one of them.
 
-    def __init__(self, fn, items):
-        self.fn = fn
-        self.items = items
-        self.results = [None] * len(items)
-        self.errors = {}
-        self.next = 0
-        self.lock = threading.Lock()
-
-    def drain(self):
-        """Run items until none is left or one has failed."""
-        while True:
-            with self.lock:
-                if self.errors or self.next == len(self.items):
-                    return
-                i = self.next
-                self.next += 1
-                fn, item = self.fn, self.items[i]
-            try:
-                self.results[i] = fn(item)
-            except BaseException as exc:  # re-raised by the caller, first in item order
-                with self.lock:
-                    self.errors[i] = exc
-
-
-def map_helped(fn, items):
-    """``[fn(item) for item in items]`` on up to ``WORKERS`` pool threads.
-
-    Results keep the order of ``items``. The first exception, in that
-    order, is raised here once every started item has finished, and items
-    not yet started are skipped. A pool thread runs items of its own call
-    and cancels the helpers that no idle thread took. With
-    ``WORKERS == 1``, or when the pool takes no work (interpreter
-    shutdown), the caller runs every item.
+    Results keep the order of ``items``. Once an item fails, items not yet
+    started are skipped; the first exception, in item order, is raised
+    here once every started item has finished. When the pool takes no
+    work (interpreter shutdown), the caller runs the remaining items.
     """
-    job = _Job(fn, list(items))
-    in_pool = getattr(_local, "in_pool", False)
-    helpers = []
-    if WORKERS > 1 and len(job.items) > 1:
-        pool = _pool()
-        for _ in range(min(WORKERS, len(job.items)) - in_pool):
+    items = list(items)
+    if WORKERS == 1 or len(items) < 2 or getattr(_local, "in_pool", False):
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def run(item):
+        if failed.is_set():  # skipped: the call raises that failure, not this None
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = _pool()
+    futures = []
+    for item in items:
+        try:
+            futures.append(pool.submit(run, item))
+        except RuntimeError:  # the pool is shut down: run the item here
+            futures.append(Future())
             try:
-                helpers.append(pool.submit(job.drain))
-            except RuntimeError:  # the pool is shut down: run the rest here
-                break
-    try:
-        if in_pool or not helpers:
-            job.drain()
-    finally:
-        for helper in helpers:
-            # a pool thread waits only on started helpers; other callers on all
-            if not (in_pool and helper.cancel()):
-                helper.result()
-        results, errors = job.results, job.errors
-        # a cancelled helper holds the job until a pool thread pops it from
-        # the queue: it must not keep the items, the function (with the
-        # arrays it closes over), the results or a traceback alive till then
-        job.fn = job.items = job.results = job.errors = None
-    if errors:
-        raise errors[min(errors)]
-    return results
+                futures[-1].set_result(run(item))
+            except BaseException as exc:  # re-raised below, first in item order
+                futures[-1].set_exception(exc)
+    wait(futures)
+    return [future.result() for future in futures]

@@ -94,6 +94,7 @@ def time_evolved_state(fss, t):
 
 def oscillation_period(fss):
     """Period h/fss (ps) of the phase oscillation for splitting fss (ueV)."""
+    require_finite(fss=fss)
     if fss <= 0:
         raise ValidationError("fss must be positive")
     return H_UEV_PS / fss

@@ -328,7 +328,7 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
     _check_pulses(n_pulses)
     starts = range(0, max(n_pulses, 1), _PULSE_BLOCK)  # a run of no pulses is one empty block
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
-    blocks = pool.map_helped(
+    blocks = pool.parallel_map(
         lambda item: _autocorrelation_block(config, species, n_pulses, *item), zip(seeds, starts))
     duration = n_pulses * config.rep_period_ps
 
@@ -339,4 +339,4 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
             block[output] = None
         return _pack(stamps, origin, output, duration)
 
-    return tuple(pool.map_helped(join, (0, 1)))
+    return tuple(pool.parallel_map(join, (0, 1)))

@@ -472,6 +472,15 @@ class TestAnalyzeCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["fss_uev"] == pytest.approx(4.6, abs=1e-6)
 
+    def test_fss_harmonic_zero_is_1(self, tmp_path, capsys):
+        angles = np.deg2rad(np.arange(0, 360, 5))
+        path = tmp_path / "fss.csv"
+        path.write_text("angle_rad,energy_uev\n" +
+                        "\n".join(f"{a},{1000.0 + np.sin(4 * a)}" for a in angles))
+        assert main(["analyze", "fss", "--data", str(path), "--harmonic", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: harmonic must be nonzero") and "Traceback" not in err
+
     def test_g2(self, tmp_path, capsys):
         # double-exponential peaks every 12.5 ns; the zero-delay peak is 2 %
         period = 12500.0

@@ -18,7 +18,7 @@ from qdcascade.simulate import (EmitterConfig, simulate_autocorrelation_run,
                                 simulate_projection_run)
 
 #: Child-interpreter body of the nested-call test: ``cross_correlate`` inside
-#: ``map_helped`` items, stream pairs read from argv[1], counts saved to argv[2].
+#: ``parallel_map`` items, stream pairs read from argv[1], counts saved to argv[2].
 NESTED_CALLS = """
 import faulthandler, sys
 import numpy as np
@@ -28,7 +28,7 @@ stamps = np.load(sys.argv[1])
 arrays = [stamps[f"arr_{k}"] for k in range(len(stamps.files))]
 pairs = list(zip(arrays[0::2], arrays[1::2]))
 faulthandler.dump_traceback_later(60, exit=True)
-counts = pool.map_helped(lambda p: cross_correlate(*p, 10.0, 200.0).counts, pairs)
+counts = pool.parallel_map(lambda p: cross_correlate(*p, 10.0, 200.0).counts, pairs)
 faulthandler.cancel_dump_traceback_later()
 np.savez(sys.argv[2], *counts)
 """
@@ -100,6 +100,12 @@ class TestCrossCorrelate:
             cross_correlate(np.array([1]), np.array([1]), 0.0, 100.0)
         with pytest.raises(ValidationError):
             cross_correlate(np.array([1]), np.array([1]), 10.0, -5.0)
+
+    @pytest.mark.parametrize("ta", [[1], []])
+    def test_window_of_no_bin(self, ta):
+        # 2*max_delay/bin_width = 8e-10 rounds down to no bin
+        with pytest.raises(ValidationError, match="max_delay .* bin_width"):
+            cross_correlate(np.array(ta), np.array([1]), 10.0, 4e-9)
 
     @pytest.mark.parametrize("bw,md", [(np.nan, 100.0), (np.inf, 100.0),
                                        (10.0, np.nan), (10.0, np.inf)])
@@ -210,8 +216,8 @@ class TestChunkedCorrelate:
             assert np.array_equal(h.counts, brute_force_histogram(ta, tb, bw, md))
 
     def test_calls_inside_pool_items_finish(self, rng, tmp_path):
-        # the outer items occupy the pool, so each inner call's helper queues
-        # behind them; the inner caller must not wait for it. The calls run in
+        # the outer items occupy the pool, so an inner call that waited on
+        # the pool would wait on itself. The calls run in
         # a child interpreter whose faulthandler ends a deadlock after 60 s and
         # writes every thread's stack to the child's own stderr, which pytest's
         # capture of this process does not swallow.
@@ -240,8 +246,7 @@ class TestChunkedCorrelate:
 
     def test_busy_pool_keeps_no_input_alive(self):
         # a call made on a pool thread while every other pool thread is busy
-        # cancels its queued helper, which stays queued until a thread pops
-        # it; it must not hold the call's arrays until then
+        # must leave nothing queued behind them that holds the call's arrays
         executor = pool._pool()
         blockers_queued, release = threading.Event(), threading.Event()
 

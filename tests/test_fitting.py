@@ -190,6 +190,14 @@ class TestFssFromPeaks:
         with pytest.raises(ValidationError, match="energies must hold only finite"):
             fss_from_peak_positions(angles, energies)
 
+    @pytest.mark.parametrize("harmonic,message", [(0, "harmonic must be nonzero"),
+                                                  (np.nan, "harmonic must be a finite"),
+                                                  (np.inf, "harmonic must be a finite")])
+    def test_harmonic_validation(self, harmonic, message):
+        angles = np.deg2rad(np.arange(0, 360, 5))
+        with pytest.raises(ValidationError, match=message):
+            fss_from_peak_positions(angles, self._trace(4.6, 0.4, angles), harmonic=harmonic)
+
 
 class TestUnitConversion:
     def test_reference_pairing(self):
@@ -211,6 +219,9 @@ class TestUnitConversion:
                 fss_from_period(bad)
         with pytest.raises(ValidationError):
             oscillation_period(-2.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="fss must be a finite"):
+                oscillation_period(bad)
 
 
 class TestFirstLensRate:

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 
 import pytest
 
@@ -12,8 +13,8 @@ def two_workers(monkeypatch):
 
 
 def test_results_keep_item_order(two_workers):
-    assert pool.map_helped(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-    assert pool.map_helped(lambda x: x, []) == []
+    assert pool.parallel_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
+    assert pool.parallel_map(lambda x: x, []) == []
 
 
 def test_first_error_in_item_order_is_raised_and_later_items_skipped(two_workers):
@@ -31,18 +32,31 @@ def test_first_error_in_item_order_is_raised_and_later_items_skipped(two_workers
         return x
 
     with pytest.raises(KeyError):
-        pool.map_helped(fn, range(100))
+        pool.parallel_map(fn, range(100))
     assert len(ran) < 100
 
 
 def test_items_of_a_main_thread_call_run_on_the_pool(two_workers):
-    names = pool.map_helped(lambda _: threading.current_thread().name, range(20))
+    names = pool.parallel_map(lambda _: threading.current_thread().name, range(20))
     assert all(name.startswith("qdcascade") for name in names)
+
+
+def test_call_on_a_pool_thread_runs_its_own_items(two_workers):
+    # the pool's other thread is idle, and still takes none of the items
+    def name_after_a_sleep(_):
+        time.sleep(0.005)
+        return threading.current_thread().name
+
+    def nested_call():
+        return threading.current_thread().name, pool.parallel_map(name_after_a_sleep, range(20))
+
+    caller, names = pool._pool().submit(nested_call).result(timeout=30)
+    assert caller.startswith("qdcascade") and set(names) == {caller}
 
 
 def test_one_worker_runs_every_item_on_the_caller(monkeypatch):
     monkeypatch.setattr(pool, "WORKERS", 1)
-    names = pool.map_helped(lambda _: threading.current_thread().name, range(20))
+    names = pool.parallel_map(lambda _: threading.current_thread().name, range(20))
     assert set(names) == {threading.current_thread().name}
 
 
@@ -52,7 +66,7 @@ def test_pool_that_takes_no_work_leaves_it_to_the_caller(two_workers, monkeypatc
             raise RuntimeError("cannot schedule new futures after interpreter shutdown")
 
     monkeypatch.setattr(pool, "_pool", ShutDown)
-    names = pool.map_helped(lambda _: threading.current_thread().name, range(20))
+    names = pool.parallel_map(lambda _: threading.current_thread().name, range(20))
     assert set(names) == {threading.current_thread().name}
 
 
