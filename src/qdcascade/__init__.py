@@ -8,8 +8,7 @@ from .errors import (CascadeError, ComputationError, FitError, ParseError,
                      ValidationError)
 from .quantum import (PHI_MINUS, PHI_PLUS, concurrence, density_of, fidelity,
                       oscillation_period, project_physical, rho_to_dict, time_evolved_state)
-from .polarization import (BASIS_LABELS, CorrectionUnitary, apply_correction,
-                           correction_unitary, projector_for, tomography_bases)
+from .polarization import BASIS_LABELS, Correction, projector_for, tomography_bases
 from .tomography import (BootstrapResult, ProjectionRecord, ReconstructionResult,
                          TomographyInput, bootstrap_metrics, mle_reconstruct,
                          neg_log_likelihood, rho_from_t, time_binned_tomography)
@@ -28,8 +27,7 @@ __all__ = [
     "CascadeError", "ComputationError", "FitError", "ParseError", "ValidationError",
     "PHI_MINUS", "PHI_PLUS", "concurrence", "density_of", "fidelity",
     "oscillation_period", "project_physical", "rho_to_dict", "time_evolved_state",
-    "BASIS_LABELS", "CorrectionUnitary", "apply_correction",
-    "correction_unitary", "projector_for", "tomography_bases",
+    "BASIS_LABELS", "Correction", "projector_for", "tomography_bases",
     "BootstrapResult", "ProjectionRecord", "ReconstructionResult", "TomographyInput",
     "bootstrap_metrics", "mle_reconstruct", "neg_log_likelihood", "rho_from_t",
     "time_binned_tomography",

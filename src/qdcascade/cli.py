@@ -91,10 +91,17 @@ def _build_parser():
 
 
 def _read_xy_csv(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    with open(path) as fh:
+        fh.readline()  # header
+        # checked here because np.loadtxt only warns on a file with no data
+        body = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise ParseError(f"{path}: no data rows")
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     if data.shape[1] < 2:
         raise ValidationError(f"{path}: expected two CSV columns")
     return data[:, 0], data[:, 1]

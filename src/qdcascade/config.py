@@ -8,22 +8,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .errors import ValidationError, require_finite
-from .polarization import ARMS
+from .polarization import Correction
 from .simulate import EmitterConfig, _is_integer
 
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
-
-
-@dataclass(frozen=True)
-class CorrectionConfig:
-    theta: float = 0.0
-    phi: float = 0.0
-    arms: str = "both"
-
-    def __post_init__(self):
-        require_finite(theta=self.theta, phi=self.phi)
-        if self.arms not in ARMS:
-            raise ValidationError(f"correction arms must be one of {ARMS}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +28,7 @@ class TomographyConfig:
     min_counts_per_bin: int = 100
     bootstrap_samples: int = 0
     max_delay_ps: float = 6000.0
-    correction: CorrectionConfig = field(default_factory=CorrectionConfig)
+    correction: Correction = field(default_factory=Correction)
 
     def __post_init__(self):
         require_finite(bin_width_ps=self.bin_width_ps, max_delay_ps=self.max_delay_ps,
@@ -102,7 +90,7 @@ class RunConfig:
             raise ValidationError(f"unknown config sections: {sorted(unknown)}")
         try:
             tomo = dict(data.get("tomography", {}))
-            correction = CorrectionConfig(**tomo.pop("correction", {}))
+            correction = Correction(**tomo.pop("correction", {}))
             return cls(
                 emitter=EmitterConfig(**data.get("emitter", {})),
                 tomography=TomographyConfig(correction=correction, **tomo),

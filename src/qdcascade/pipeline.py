@@ -19,9 +19,9 @@ import numpy as np
 from . import io as qio
 from .config import RunConfig
 from .correlations import Histogram, cross_correlate
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, require_finite
 from .fitting import fit_model
-from .polarization import CorrectionUnitary, apply_correction, tomography_bases
+from .polarization import tomography_bases
 from .pool import parallel_map
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
@@ -120,6 +120,11 @@ def _histograms_from_manifest(manifest_path, config: RunConfig):
     return dict(zip(expected, parallel_map(correlate, expected)))
 
 
+def metrics(rho):
+    """The numbers a bin reports: Phi+ fidelity and concurrence of its corrected rho."""
+    return fidelity(rho, PHI_PLUS), concurrence(rho)
+
+
 def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
              out_dir=None):
     """Reconstruct per-time-bin states and write the analysis report.
@@ -135,7 +140,6 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         raise ValidationError("exactly one of manifest, counts_csv or binned_csv is required")
     out_dir = out_dir or config.io.output_dir
     tomo_cfg = config.tomography
-    correction = CorrectionUnitary(tomo_cfg.correction.theta, tomo_cfg.correction.phi)
 
     weights, extra_outputs = {}, []
     if manifest:
@@ -167,26 +171,24 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         for s in tomo.skipped
     ]
 
-    def corrected(rho):
-        return apply_correction(rho, correction, tomo_cfg.correction.arms)
-
+    correction = tomo_cfg.correction
     bins = []
     for k, b in enumerate(tomo.bins):
-        rho = corrected(b.result.rho)
+        rho = correction.apply(b.result.rho)
+        fid, conc = metrics(rho)
         fid_std = conc_std = None
         if tomo_cfg.bootstrap_samples >= 2:
             boot_seed = (config.simulation.seed or 0) + 7000 + k
-            boot = bootstrap_metrics(
-                b.input, tomo_cfg.bootstrap_samples, ("fidelity", "concurrence"),
-                target=PHI_PLUS, seed=boot_seed, transform=corrected,
-            )
-            fid_std, conc_std = boot["fidelity"].std, boot["concurrence"].std
+            fid_boot, conc_boot = bootstrap_metrics(
+                b.input, tomo_cfg.bootstrap_samples,
+                lambda resampled: metrics(correction.apply(resampled)), seed=boot_seed)
+            fid_std, conc_std = fid_boot.std, conc_boot.std
         rel = f"bins/bin_{k:04d}.json"
         record = {  # the keys that the bin file and the report bin share
             "bin_start_ps": b.bin_start,
             "bin_width_ps": b.bin_width,
-            "fidelity": fidelity(rho, PHI_PLUS),
-            "concurrence": concurrence(rho),
+            "fidelity": fid,
+            "concurrence": conc,
             "fidelity_std": fid_std,
             "concurrence_std": conc_std,
             "converged": b.result.converged,
@@ -293,5 +295,10 @@ def cmd_report(run_dir):
             and isinstance(meta.get("skipped_bins"), list)):
         raise ValidationError(f"{meta_path}: expected an object with toolkit_version, config, "
                               "a 'bins' list of bin objects and a 'skipped_bins' list")
+    for i, b in enumerate(meta["bins"]):
+        # a single-set bin written before bins carried a time bin has a null start and width
+        keys = ("fidelity", "concurrence") + (
+            () if b["bin_start_ps"] is None else ("bin_start_ps", "bin_width_ps"))
+        require_finite(**{f"{meta_path}: bins[{i}].{key}": b[key] for key in keys})
     return _write_report(meta, run_dir)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .quantum import validate_density_matrix
 
 BASIS_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -67,19 +67,30 @@ def tomography_bases(count):
     return pairs
 
 
+ARMS = ("both", "xx_only", "x_only")
+
+
 @dataclass(frozen=True)
-class CorrectionUnitary:
-    """Two-angle local rotation undoing setup birefringence.
+class Correction:
+    """Two-angle local rotation undoing setup birefringence, on selected arms.
 
     U(theta, phi) = Rz(phi) Ry(theta) with
     Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and
-    Rz(phi) = diag(exp(-i phi/2), exp(i phi/2)).
+    Rz(phi) = diag(exp(-i phi/2), exp(i phi/2)). ``arms`` (one of
+    "both", "xx_only", "x_only") names the photons it acts on.
     """
 
     theta: float = 0.0
     phi: float = 0.0
+    arms: str = "both"
+
+    def __post_init__(self):
+        require_finite(theta=self.theta, phi=self.phi)
+        if self.arms not in ARMS:
+            raise ValidationError(f"correction arms must be one of {ARMS}, got {self.arms!r}")
 
     def matrix(self):
+        """The 2x2 unitary U(theta, phi)."""
         half_t = 0.5 * self.theta
         ry = np.array(
             [[np.cos(half_t), -np.sin(half_t)], [np.sin(half_t), np.cos(half_t)]],
@@ -88,31 +99,18 @@ class CorrectionUnitary:
         rz = np.diag([np.exp(-0.5j * self.phi), np.exp(0.5j * self.phi)])
         return rz @ ry
 
+    def apply(self, rho):
+        """Conjugate a physical rho by the rotation on the selected arms.
 
-def correction_unitary(c):
-    """2x2 unitary of a CorrectionUnitary (or (theta, phi) tuple)."""
-    if not isinstance(c, CorrectionUnitary):
-        c = CorrectionUnitary(*c)
-    return c.matrix()
-
-
-ARMS = ("both", "xx_only", "x_only")
-
-
-def apply_correction(rho, c, arms="both"):
-    """Conjugate a physical rho by the correction on the selected arms.
-
-    rho' = (U_a x U_b) rho (U_a x U_b)^+, with the identity on any arm
-    not selected by ``arms`` (one of "both", "xx_only", "x_only").
-    Local unitaries leave trace, spectrum and concurrence unchanged.
-    """
-    rho = validate_density_matrix(rho)
-    if arms not in ARMS:
-        raise ValidationError(f"arms must be one of {ARMS}, got {arms!r}")
-    u = correction_unitary(c)
-    eye = np.eye(2, dtype=complex)
-    u_xx = u if arms in ("both", "xx_only") else eye
-    u_x = u if arms in ("both", "x_only") else eye
-    big = np.kron(u_xx, u_x)
-    out = big @ rho @ big.conj().T
-    return 0.5 * (out + out.conj().T)
+        rho' = (U_a x U_b) rho (U_a x U_b)^+, with the identity on an arm
+        that ``arms`` leaves out. Local unitaries leave trace, spectrum
+        and concurrence unchanged.
+        """
+        rho = validate_density_matrix(rho)
+        u = self.matrix()
+        eye = np.eye(2, dtype=complex)
+        u_xx = u if self.arms in ("both", "xx_only") else eye
+        u_x = u if self.arms in ("both", "x_only") else eye
+        big = np.kron(u_xx, u_x)
+        out = big @ rho @ big.conj().T
+        return 0.5 * (out + out.conj().T)

@@ -25,6 +25,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 STATE_NORM_TOL = 1e-12
+#: Largest anti-Hermitian part ``project_physical`` symmetrizes away.
+PROJECTION_HERMITICITY_TOL = 1e-6
 
 #: Bell state (|HH> + |VV>)/sqrt(2).
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -36,22 +38,22 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def validate_state(psi, tol=STATE_NORM_TOL):
+def validate_state(psi):
     """Return psi as a normalized complex vector or raise ValidationError."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValidationError(f"pure state must have 4 amplitudes, got shape {psi.shape}")
     norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > tol:
+    if abs(norm2 - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"pure state not normalized: |psi|^2 = {norm2!r}")
     return psi
 
 
-def validate_density_matrix(rho, eig_tol=EIGENVALUE_TOL):
+def validate_density_matrix(rho):
     """Check Hermiticity, unit trace and positivity of a 4x4 matrix.
 
     Returns the matrix as a complex ndarray; raises ValidationError on
-    any violated invariant. Eigenvalues in [-eig_tol, 0) are accepted
+    any violated invariant. Eigenvalues in [-EIGENVALUE_TOL, 0) are accepted
     because the MLE and bootstrap routinely produce boundary states.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -64,7 +66,7 @@ def validate_density_matrix(rho, eig_tol=EIGENVALUE_TOL):
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {tr!r} != 1")
     eigvals = np.linalg.eigvalsh(rho)
-    if eigvals.min() < -eig_tol:
+    if eigvals.min() < -EIGENVALUE_TOL:
         raise ValidationError(f"density matrix not PSD: min eigenvalue {eigvals.min()!r}")
     return rho
 
@@ -136,20 +138,20 @@ def concurrence(rho):
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def project_physical(m, herm_tol=1e-6):
+def project_physical(m):
     """Nearest physical density matrix to an approximately Hermitian m.
 
-    Symmetrizes (rejecting anti-Hermitian parts above herm_tol), clips
-    negative eigenvalues to zero and renormalizes the trace; this is the
-    Frobenius-nearest PSD unit-trace matrix. Raises ValidationError on
-    an all-zero input.
+    Symmetrizes (rejecting anti-Hermitian parts above
+    PROJECTION_HERMITICITY_TOL), clips negative eigenvalues to zero and
+    renormalizes the trace; this is the Frobenius-nearest PSD unit-trace
+    matrix. Raises ValidationError on an all-zero input.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected 4x4 matrix, got shape {m.shape}")
     if not np.any(m):
         raise ValidationError("cannot project an all-zero matrix")
-    if np.max(np.abs(m - m.conj().T)) > herm_tol:
+    if np.max(np.abs(m - m.conj().T)) > PROJECTION_HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     sym = 0.5 * (m + m.conj().T)
     evals, evecs = np.linalg.eigh(sym)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
-from .polarization import ORTHOGONAL, projector_for
+from .polarization import BASIS_LABELS, ORTHOGONAL, projector_for
 from .quantum import project_physical, validate_density_matrix
 
 #: Born probabilities below this floor are clamped inside the likelihood
@@ -154,7 +154,7 @@ class _ProjectionSetup:
     quads: np.ndarray
 
 
-_ARM_BASES = (("H", "V"), ("D", "A"), ("R", "L"))
+_ARM_BASES = tuple(zip(BASIS_LABELS[::2], BASIS_LABELS[1::2]))  # (H,V), (D,A), (R,L)
 
 
 @functools.lru_cache(maxsize=16)
@@ -409,35 +409,20 @@ def time_binned_tomography(histograms, min_counts=100, weights=None):
     return TimeBinnedTomography(bins=bins, skipped=skipped)
 
 
-def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
-                      seed=None, transform=None):
-    """Poissonian bootstrap of fidelity and/or concurrence.
+def bootstrap_metrics(input: TomographyInput, n_resamples, evaluate, seed=None):
+    """Poissonian bootstrap of the numbers ``evaluate(rho)`` returns.
 
     Each resample redraws every count as Poisson(n_v), reruns the MLE
-    and evaluates every metric on that one reconstruction; resamples
-    that fail to converge are excluded and counted. Deterministic for a
-    fixed seed. ``transform`` (e.g. a local-unitary correction) is
-    applied to each reconstructed matrix before the metrics. Returns
-    {metric: BootstrapResult}.
+    and calls ``evaluate`` once on the reconstruction; resamples that
+    fail to converge are excluded and counted. Deterministic for a fixed
+    seed. Returns one BootstrapResult per value of ``evaluate``, in its
+    order.
     """
-    from . import quantum
-
     if n_resamples < 2:
         raise ValidationError("need at least 2 resamples")
-    evaluators = {}
-    for metric in metrics:
-        if metric == "fidelity":
-            if target is None:
-                raise ValidationError("fidelity bootstrap needs a target state")
-            evaluators[metric] = lambda rho: quantum.fidelity(rho, target)
-        elif metric == "concurrence":
-            evaluators[metric] = quantum.concurrence
-        else:
-            raise ValidationError(f"unknown metric {metric!r}")
-
     rng = np.random.default_rng(seed)
     base_counts = np.array([r.counts for r in input.records], dtype=float)
-    values = {metric: [] for metric in evaluators}
+    rows = []
     n_excluded = 0
     for _ in range(n_resamples):
         resampled = rng.poisson(base_counts).astype(float)
@@ -449,14 +434,12 @@ def bootstrap_metrics(input: TomographyInput, n_resamples, metrics, target=None,
         if not result.converged:
             n_excluded += 1
             continue
-        rho = result.rho if transform is None else transform(result.rho)
-        for metric, evaluate in evaluators.items():
-            values[metric].append(evaluate(rho))
-    if n_excluded == n_resamples:
+        rows.append(tuple(evaluate(result.rho)))
+    if not rows:
         raise ComputationError("every bootstrap resample failed to converge")
-    out = {}
-    for metric, vals in values.items():
+    out = []
+    for vals in zip(*rows):
         arr = np.array(vals)
         std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-        out[metric] = BootstrapResult(float(arr.mean()), std, n_excluded, tuple(vals))
-    return out
+        out.append(BootstrapResult(float(arr.mean()), std, n_excluded, vals))
+    return tuple(out)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import make_input, random_physical_rho, random_unitary2, waveplate_jones
-from qdcascade import (PHI_PLUS, concurrence, correction_unitary, cross_correlate,
-                       density_of, fidelity, fit_model, fss_from_period, g2_zero,
-                       mle_reconstruct, time_evolved_state)
+from qdcascade import (PHI_PLUS, Correction, concurrence, cross_correlate, density_of,
+                       fidelity, fit_model, fss_from_period, g2_zero, mle_reconstruct,
+                       time_evolved_state)
 from qdcascade.config import RunConfig
 from qdcascade.fitting import _MODELS, poisson_weights
 from qdcascade.pipeline import cmd_simulate, cmd_tomo
@@ -282,7 +282,7 @@ def test_criterion_9_invariant_suites(tmp_path):
         for _ in range(200):
             j = waveplate_jones(rng.uniform(-7, 7), rng.uniform(-7, 7))
             assert np.max(np.abs(j.conj().T @ j - np.eye(2))) < 1e-12
-            u = correction_unitary((rng.uniform(-7, 7), rng.uniform(-7, 7)))
+            u = Correction(rng.uniform(-7, 7), rng.uniform(-7, 7)).matrix()
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
         # physicality of 200 MLE reconstructions from noisy counts

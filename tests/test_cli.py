@@ -2,13 +2,14 @@ import hashlib
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_input, rho_from_dict, write_tomo_csv
-from qdcascade import (PHI_PLUS, CorrectionUnitary, Histogram, apply_correction,
-                       bootstrap_metrics, density_of, import_stream, time_evolved_state)
+from qdcascade import (PHI_PLUS, Correction, Histogram, bootstrap_metrics, concurrence,
+                       density_of, fidelity, import_stream, time_evolved_state)
 from qdcascade import pipeline, pool
 from qdcascade.correlations import cross_correlate
 from qdcascade.cli import main
@@ -207,12 +208,14 @@ class TestTomoCommand:
         assert (b["bin_start_ps"], b["bin_width_ps"]) == (0.0, 4000.0)
         saved = json.loads((tmp_path / "out" / b["rho_file"]).read_text())
 
-        boot = bootstrap_metrics(
-            read_projection_csv(csv), 4, ("fidelity", "concurrence"), target=PHI_PLUS,
-            seed=7000, transform=lambda r: apply_correction(r, CorrectionUnitary(), "both"),
+        fid, conc = bootstrap_metrics(
+            read_projection_csv(csv), 4,
+            lambda r: (fidelity(Correction().apply(r), PHI_PLUS),
+                       concurrence(Correction().apply(r))),
+            seed=7000,
         )
-        assert saved["fidelity_std"] == boot["fidelity"].std
-        assert saved["concurrence_std"] == boot["concurrence"].std
+        assert saved["fidelity_std"] == fid.std
+        assert saved["concurrence_std"] == conc.std
 
     def test_counts_csv_respects_min_counts(self, tmp_path):
         inp = make_input(density_of(PHI_PLUS), 1e3, 36)
@@ -272,13 +275,13 @@ class TestTomoCommand:
         data["tomography"]["correction"] = {"theta": 0.3, "phi": -0.5, "arms": "both"}
         rotated = cmd_tomo(RunConfig.from_dict(data), manifest=manifest,
                            out_dir=str(tmp_path / "rot"))
-        c = CorrectionUnitary(0.3, -0.5)
+        c = Correction(0.3, -0.5, "both")
         for b_raw, b_rot in zip(raw["bins"], rotated["bins"]):
             rho_raw = rho_from_dict(json.loads(
                 (tmp_path / "raw" / b_raw["rho_file"]).read_text())["rho"])
             rho_rot = rho_from_dict(json.loads(
                 (tmp_path / "rot" / b_rot["rho_file"]).read_text())["rho"])
-            expected = apply_correction(rho_raw, c, "both")
+            expected = c.apply(rho_raw)
             assert np.max(np.abs(rho_rot - expected)) < 1e-12
             # a local unitary moves fidelity but not concurrence
             assert b_rot["concurrence"] == pytest.approx(b_raw["concurrence"], abs=1e-9)
@@ -395,6 +398,49 @@ def file_digests(root):
             with open(path, "rb") as fh:
                 digests[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
     return digests
+
+
+#: sha256 of the tomo outputs of one corrected, bootstrapped run per ``arms``
+#: value: 40,000 pulses at seed 17, 3 resamples per bin, correction (0.3, -0.5).
+#: "bins" hashes every bins/*.json file, in name order.
+PINNED_TOMO_DIGESTS = {
+    "both": {
+        "report.json": "4bac927404851b9ec2de39e18d55310c6ffef95e45d86a7a5d0e5af47dd15120",
+        "tomo_meta.json": "b20498d4784fd94b447099d421d17972d7f97adfd5aab8f609a25bf3648fccf5",
+        "metrics_vs_time.csv": "0db12d59403abb45e10da82777b7975131240809809780522d8a1a1059b06f24",
+        "bins": "ea642ed437716fa9468aae5ba5fb29b9550d912cdde0972f8ad7963f929138c2",
+    },
+    "xx_only": {
+        "report.json": "19f725b6a7c8e6cfb20c0a156810dc565cfee653756f2f59df77bc6b02d5c484",
+        "tomo_meta.json": "c8d273f6be81c6094b19892674536531ce403f492bb4b10a96b2887aaf6001c4",
+        "metrics_vs_time.csv": "1c4827786c95acee538142b26f2f6ef9587b007ae2d1d52bf00bddfeed6b4aad",
+        "bins": "e25aeca7e4f1ed14690fab75ce5bc71c53a2d07f825f5b8b4f57cd3e180968b5",
+    },
+    "x_only": {
+        "report.json": "a527c2478a73a94ba3961699bd7886b8adc6477ec8d5322c026b62b31596fd05",
+        "tomo_meta.json": "5df11148c669bd5acb45a4b3e38b65a71904f05196141b463e42cf84cae31111",
+        "metrics_vs_time.csv": "573073d98dd4d216bcc2f106ff2032d44f82908c25e00097fc60b5f2f955985d",
+        "bins": "3ab590dc54174a972ff2c1a23f5f7e0190d501453e233907646acc1de23980db",
+    },
+}
+
+
+@pytest.mark.parametrize("arms", sorted(PINNED_TOMO_DIGESTS))
+def test_corrected_bootstrap_run_is_pinned(tmp_path, arms):
+    config = RunConfig.from_dict({
+        "tomography": {"max_delay_ps": 2000.0, "min_counts_per_bin": 200,
+                       "bootstrap_samples": 3,
+                       "correction": {"theta": 0.3, "phi": -0.5, "arms": arms}},
+        "simulation": {"n_pulses": 40_000, "seed": 17},
+    })
+    out = tmp_path / "run"
+    cmd_tomo(config, manifest=cmd_simulate(config, str(out)), out_dir=str(out))
+    bins = hashlib.sha256()
+    for path in sorted((out / "bins").iterdir()):
+        bins.update(path.read_bytes())
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("report.json", "tomo_meta.json", "metrics_vs_time.csv")}
+    assert {**digests, "bins": bins.hexdigest()} == PINNED_TOMO_DIGESTS[arms]
 
 
 class TestWorkerPool:
@@ -555,6 +601,7 @@ class TestExitCodes:
         ("tomo", "tomography.correction.theta", "abc"),
         ("tomo", "tomography.correction.theta", "NaN"),
         ("tomo", "tomography.correction.phi", "Infinity"),
+        ("tomo", "tomography.correction.arms", "sideways"),
         ("tomo", "tomography.bin_width_ps", "NaN"),
         ("tomo", "tomography.max_delay_ps", "Infinity"),
         ("tomo", "tomography.min_counts_per_bin", "NaN"),
@@ -628,6 +675,27 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["fss", "power"])
+    def test_header_only_csv_is_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "header_only.csv"
+        path.write_text("x,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a file with no data
+            assert main(["analyze", kind, "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: no data rows\n"
+
+    @pytest.mark.parametrize("key,value", [("fidelity", "high"), ("concurrence", None),
+                                           ("bin_start_ps", "0"), ("bin_width_ps", None)])
+    def test_non_numeric_meta_bin_value_is_1(self, tmp_path, capsys, key, value):
+        bin_ = {**NULL_BIN_META["bins"][0], "bin_start_ps": 0.0, "bin_width_ps": 100.0}
+        meta_path = tmp_path / "tomo_meta.json"
+        meta_path.write_text(json.dumps({**NULL_BIN_META, "bins": [{**bin_, key: value}]}))
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: bins[0].{key} must be a finite number")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("case", ["counts_missing", "binned_missing", "wrong_pair_count"])
     def test_bad_tomo_input_makes_no_output_tree(self, tmp_path, case):

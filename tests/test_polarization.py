@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_physical_rho, waveplate_jones
-from qdcascade import (PHI_PLUS, ValidationError, apply_correction, concurrence,
-                       correction_unitary, density_of, projector_for, tomography_bases)
-from qdcascade.polarization import BASIS_LABELS, ORTHOGONAL, CorrectionUnitary
+from qdcascade import (PHI_PLUS, Correction, ValidationError, concurrence, density_of,
+                       projector_for, tomography_bases)
+from qdcascade.polarization import BASIS_LABELS, ORTHOGONAL
 from qdcascade.quantum import validate_density_matrix
 
 angles = st.floats(-10.0, 10.0)
@@ -117,36 +117,36 @@ class TestTomographyBases:
 
 class TestCorrection:
     def test_identity(self):
-        assert np.allclose(correction_unitary((0.0, 0.0)), np.eye(2), atol=1e-12)
+        assert np.allclose(Correction(0.0, 0.0).matrix(), np.eye(2), atol=1e-12)
 
     def test_theta_pi_is_spin_flip(self):
-        u = correction_unitary((np.pi, 0.0))
+        u = Correction(np.pi, 0.0).matrix()
         out = u @ np.array([1.0, 0.0])
         assert abs(out[1]) == pytest.approx(1.0, abs=1e-12)
         assert abs(out[0]) == pytest.approx(0.0, abs=1e-12)
 
     @given(theta=angles, phi=angles)
     def test_always_unitary(self, theta, phi):
-        u = correction_unitary(CorrectionUnitary(theta, phi))
+        u = Correction(theta, phi).matrix()
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_reported_setup_angles_are_unitary(self):
-        u = correction_unitary((0.521, -1.284))
+        u = Correction(0.521, -1.284).matrix()
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
 class TestApplyCorrection:
     def test_identity_correction_is_noop(self):
         rho = density_of(PHI_PLUS)
-        out = apply_correction(rho, (0.0, 0.0), "both")
+        out = Correction(0.0, 0.0, "both").apply(rho)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_concurrence_invariant(self, rng):
         for _ in range(10):
             rho = random_physical_rho(rng, rank=rng.integers(1, 5))
-            c = CorrectionUnitary(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+            theta, phi = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)
             for arms in ("both", "xx_only", "x_only"):
-                out = apply_correction(rho, c, arms)
+                out = Correction(theta, phi, arms).apply(rho)
                 assert concurrence(out) == pytest.approx(concurrence(rho), abs=1e-9)
 
     def test_flip_both_arms_maps_hh_to_vv(self):
@@ -154,19 +154,18 @@ class TestApplyCorrection:
         hh[0] = 1.0
         vv = np.zeros(4, dtype=complex)
         vv[3] = 1.0
-        out = apply_correction(density_of(hh), (np.pi, 0.0), "both")
+        out = Correction(np.pi, 0.0, "both").apply(density_of(hh))
         assert np.max(np.abs(out - density_of(vv))) < 1e-10
 
     def test_single_arm_selectors_differ(self):
         rho = density_of(PHI_PLUS)
-        c = CorrectionUnitary(0.7, -0.3)
-        xx_only = apply_correction(rho, c, "xx_only")
-        x_only = apply_correction(rho, c, "x_only")
+        xx_only = Correction(0.7, -0.3, "xx_only").apply(rho)
+        x_only = Correction(0.7, -0.3, "x_only").apply(rho)
         assert np.max(np.abs(xx_only - x_only)) > 1e-3
 
     def test_preserves_trace_and_spectrum(self, rng):
         rho = random_physical_rho(rng)
-        out = apply_correction(rho, (0.521, -1.284), "both")
+        out = Correction(0.521, -1.284, "both").apply(rho)
         validate_density_matrix(out)
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-10
@@ -174,6 +173,6 @@ class TestApplyCorrection:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
-            apply_correction(np.eye(4), (0, 0), "both")  # trace 4
+            Correction(0, 0, "both").apply(np.eye(4))  # trace 4
         with pytest.raises(ValidationError):
-            apply_correction(np.eye(4) / 4, (0, 0), "sideways")
+            Correction(0, 0, "sideways")

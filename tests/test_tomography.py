@@ -365,37 +365,38 @@ class TestTimeBinned:
         assert np.argmax(fids1) == np.argmax(fids3)
 
 
-def _bootstrap(inp, n, metric, **kwargs):
-    return bootstrap_metrics(inp, n, (metric,), **kwargs)[metric]
+def _bootstrap(inp, n, metric, seed=None):
+    (out,) = bootstrap_metrics(inp, n, lambda rho: (metric(rho),), seed=seed)
+    return out
+
+
+def _phi_plus_fidelity(rho):
+    return fidelity(rho, PHI_PLUS)
 
 
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         inp = make_input(density_of(PHI_PLUS), 1e4, 36)
-        a = _bootstrap(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
-        b = _bootstrap(inp, 2, "fidelity", target=PHI_PLUS, seed=5)
+        a = _bootstrap(inp, 2, _phi_plus_fidelity, seed=5)
+        b = _bootstrap(inp, 2, _phi_plus_fidelity, seed=5)
         assert a.values == b.values
         assert len(a.values) == 2
 
     def test_concentrates_at_high_counts(self):
         inp = make_input(density_of(PHI_PLUS), 1e6, 36)
-        out = _bootstrap(inp, 10, "fidelity", target=PHI_PLUS, seed=1)
+        out = _bootstrap(inp, 10, _phi_plus_fidelity, seed=1)
         assert out.std < 0.01
         assert out.mean > 0.99
 
     def test_poisson_scaling(self):
         big = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e6, 36)
         small = make_input(density_of(time_evolved_state(4.65, 200.0)), 1e4, 36)
-        s_big = _bootstrap(big, 12, "concurrence", seed=2).std
-        s_small = _bootstrap(small, 12, "concurrence", seed=2).std
+        s_big = _bootstrap(big, 12, concurrence, seed=2).std
+        s_small = _bootstrap(small, 12, concurrence, seed=2).std
         # flux down x100 -> std up roughly x10
         assert 3.0 < s_small / s_big < 33.0
 
     def test_validation(self):
         inp = make_input(density_of(PHI_PLUS), 1e4, 36)
         with pytest.raises(ValidationError):
-            _bootstrap(inp, 1, "fidelity", target=PHI_PLUS)
-        with pytest.raises(ValidationError):
-            _bootstrap(inp, 2, "fidelity")  # no target
-        with pytest.raises(ValidationError):
-            _bootstrap(inp, 2, "purity")
+            _bootstrap(inp, 1, _phi_plus_fidelity)
