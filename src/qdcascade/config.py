@@ -14,6 +14,13 @@ from .simulate import EmitterConfig, _is_integer
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
 
 
+def _object(value, name):
+    """A copy of ``value``, which must be a JSON object (a dict)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
 @dataclass(frozen=True)
 class TomographyConfig:
     """Reconstruction settings.
@@ -83,19 +90,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data or {})
-        known = {"emitter", "tomography", "simulation", "io"}
-        unknown = set(data) - known
+        data = _object(data or {}, "config")
+        known = ("emitter", "tomography", "simulation", "io")
+        unknown = set(data) - set(known)
         if unknown:
             raise ValidationError(f"unknown config sections: {sorted(unknown)}")
+        emitter, tomo, simulation, io = (_object(data.get(k, {}), k) for k in known)
+        correction = _object(tomo.pop("correction", {}), "tomography.correction")
         try:
-            tomo = dict(data.get("tomography", {}))
-            correction = Correction(**tomo.pop("correction", {}))
             return cls(
-                emitter=EmitterConfig(**data.get("emitter", {})),
-                tomography=TomographyConfig(correction=correction, **tomo),
-                simulation=SimulationConfig(**data.get("simulation", {})),
-                io=IOConfig(**data.get("io", {})),
+                emitter=EmitterConfig(**emitter),
+                tomography=TomographyConfig(correction=Correction(**correction), **tomo),
+                simulation=SimulationConfig(**simulation),
+                io=IOConfig(**io),
             )
         except TypeError as exc:
             raise ValidationError(f"bad config: {exc}") from exc
@@ -127,7 +134,7 @@ def load_config(path, overrides=None) -> RunConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    data = apply_overrides(data, overrides)
+    data = apply_overrides(_object(data, f"config {path}"), overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -136,5 +143,5 @@ def load_config(path, overrides=None) -> RunConfig:
             raise ValidationError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from None
-        data.setdefault("simulation", {})["seed"] = seed
+        apply_overrides(data, [f"simulation.seed={seed}"])
     return RunConfig.from_dict(data)

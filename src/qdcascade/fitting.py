@@ -1,10 +1,10 @@
-"""Weighted nonlinear least-squares fits used by the analysis commands.
+"""Weighted least-squares fits used by the analysis commands.
 
 Model forms:
 
-* ``exponential``   y = B + A*exp(-(x - x0)/tau), x0 held fixed (it is
-  degenerate with A; pass it via ``init`` when the decay does not start
-  at zero)
+* ``exponential``   y = B + A*exp(-(x - x0)/tau); x0 is an offset, not a
+  fitted parameter (it is degenerate with A). Pass it via ``init`` when
+  the decay does not start at zero; it is reported with std 0.
 * ``sinusoid``      y = y0 + A*sin(2*pi*x/P + phi0)
 * ``recapture``     y = C + A*exp(-|x - t0|/t_d)*(1 - exp(-|x - t0|/t_c))
 * ``power_law``     log y = s*log x + b, fitted linearly in log-log space
@@ -12,12 +12,15 @@ Model forms:
 
 Nonlinear kinds run Levenberg-Marquardt (MINPACK ``lmder``) from
 data-driven starting points with each model's closed-form Jacobian
-(``_JACOBIANS``), never finite differences. Each Jacobian is the
+(``_MODELS``), never finite differences. Each Jacobian is the
 derivative of the model as evaluated, so it is 0 where ``_safe_exp``'s
 cap binds, and the recapture ``t0`` column takes sign(x - t0), 0 at the
-cusp. Parameter uncertainties come from the covariance of the exact
-Jacobian at the solution, scaled by the reduced chi-square. Non-finite
-x, y or weights are rejected as bad input. For raw count data pass
+cusp. Every fit, linear or not, takes its errors from one rule
+(``_errors``): the reduced chi-square over max(n - k, 1) degrees of
+freedom and std = sqrt(diag(inv(J^T J)) * reduced chi-square), with J the
+weighted Jacobian (the weighted design of a linear fit) at the solution.
+Where J^T J is singular the errors are nan. Non-finite x, y or weights
+are rejected as bad input. For raw count data pass
 ``weights=poisson_weights(y)``. scipy's ``least_squares`` is imported
 by the first nonlinear fit of a process, not with this module, so
 ``import qdcascade`` loads numpy only and code that fits no curve
@@ -111,16 +114,15 @@ def _safe_exp_and_slope(z):
 
 
 def _exponential(x, p):
-    b, a, x0, tau = p
-    return b + a * _safe_exp(-(x - x0) / tau)
+    b, a, tau = p
+    return b + a * _safe_exp(-x / tau)
 
 
 def _exponential_jac(x, p):
-    b, a, x0, tau = p
-    z = -(x - x0) / tau
+    b, a, tau = p
+    z = -x / tau
     value, slope = _safe_exp_and_slope(z)
-    slope = slope * (a / tau)
-    return np.column_stack([np.ones_like(x), value, slope, -slope * z])
+    return np.column_stack([np.ones_like(x), value, -slope * (a / tau) * z])
 
 
 def _sinusoid(x, p):
@@ -172,19 +174,12 @@ def _lorentzian_jac(x, p):
                             scale * (gamma / 2.0) * (d * d)])
 
 
+#: kind -> (model(x, p), d(model)/dp with one column per name, names of p)
 _MODELS = {
-    "exponential": (_exponential, ("B", "A", "x0", "tau")),
-    "sinusoid": (_sinusoid, ("y0", "A", "P", "phi0")),
-    "recapture": (_recapture, ("C", "A", "t0", "t_d", "t_c")),
-    "lorentzian": (_lorentzian, ("B", "A", "x0", "gamma")),
-}
-
-#: d(model)/d(params), one column per parameter in ``_MODELS`` order
-_JACOBIANS = {
-    "exponential": _exponential_jac,
-    "sinusoid": _sinusoid_jac,
-    "recapture": _recapture_jac,
-    "lorentzian": _lorentzian_jac,
+    "exponential": (_exponential, _exponential_jac, ("B", "A", "tau")),
+    "sinusoid": (_sinusoid, _sinusoid_jac, ("y0", "A", "P", "phi0")),
+    "recapture": (_recapture, _recapture_jac, ("C", "A", "t0", "t_d", "t_c")),
+    "lorentzian": (_lorentzian, _lorentzian_jac, ("B", "A", "x0", "gamma")),
 }
 
 
@@ -203,19 +198,34 @@ def _dominant_period(x, y):
     return 1.0 / freqs[k] if freqs[k] > 0 else None
 
 
-def _linear_sinusoid(phase, y, sqrt_w):
-    """Weighted least squares of y = y0 + a*sin(phase) + b*cos(phase).
+def _sinusoid_design(phase):
+    """Columns of y0 + a*sin(phase) + b*cos(phase); a = A*cos(phi0), b = A*sin(phi0)."""
+    return np.column_stack([np.ones_like(phase), np.sin(phase), np.cos(phase)])
 
-    Returns the design matrix and (y0, a, b); a = A*cos(phi0), b = A*sin(phi0).
-    """
-    design = np.column_stack([np.ones_like(phase), np.sin(phase), np.cos(phase)])
-    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=None)
-    return design, coef
+
+def _linear_fit(design, y, sqrt_w):
+    """Weighted linear least squares: coefficients, weighted design and residuals."""
+    design, y = design * sqrt_w[:, None], y * sqrt_w
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef, design, y - design @ coef
+
+
+def _errors(jac, resid):
+    """Reduced chi-square, std errors and covariance from the weighted Jacobian
+    (or design) and residuals at the solution; nan where J^T J is singular."""
+    k = jac.shape[1]
+    red_chi2 = float(resid @ resid) / max(len(resid) - k, 1)
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * red_chi2
+    except np.linalg.LinAlgError:
+        cov = np.full((k, k), np.nan)
+    return red_chi2, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
 
 def _sinusoid_guess(x, y, weights, period):
     """(y0, A, P, phi0) start from the weighted linear solve at a fixed P."""
-    _, (y0, a, b) = _linear_sinusoid(2.0 * np.pi * x / period, y, np.sqrt(weights))
+    (y0, a, b), *_ = _linear_fit(_sinusoid_design(2.0 * np.pi * x / period), y,
+                                 np.sqrt(weights))
     return {"y0": float(y0), "A": float(np.hypot(a, b)) or 1.0, "P": period,
             "phi0": float(np.arctan2(b, a))}
 
@@ -227,11 +237,10 @@ def _recapture_mirror(p):
 
 
 def _initial_guesses(kind, x, y, weights, init):
-    init = dict(init or {})
     span = x.max() - x.min()
     lo, hi = float(y.min()), float(y.max())
     if kind == "exponential":
-        guess = {"B": lo, "A": hi - lo if hi > lo else 1.0, "x0": 0.0,
+        guess = {"B": lo, "A": hi - lo if hi > lo else 1.0,
                  "tau": span / 3.0 if span > 0 else 1.0}
     elif kind == "sinusoid":
         period = init.get("P") or _dominant_period(x, y) or span / 2.0
@@ -242,14 +251,12 @@ def _initial_guesses(kind, x, y, weights, init):
         gamma = float(above.max() - above.min()) if len(above) > 1 else span / 10.0
         guess = {"B": lo, "A": hi - lo if hi > lo else 1.0, "x0": x0,
                  "gamma": gamma or span / 10.0}
-    elif kind == "recapture":
+    else:  # recapture
         weights_c = np.maximum(y - lo, 0.0)
         t0 = float(np.sum(x * weights_c) / np.sum(weights_c)) if weights_c.sum() > 0 \
             else float(np.median(x))
         guess = {"C": lo, "A": 2.0 * (hi - lo) if hi > lo else 1.0, "t0": t0,
                  "t_d": span / 4.0 or 1.0, "t_c": span / 12.0 or 1.0}
-    else:
-        raise ValidationError(f"unknown model kind {kind!r}")
     guess.update(init)
     return guess
 
@@ -258,38 +265,25 @@ def _lm_fit(kind, x, y, weights, init):
     # outside ``solve``'s try, so that a missing scipy is not a FitError
     from scipy.optimize import least_squares
 
-    func, names = _MODELS[kind]
-    model_jac = _JACOBIANS[kind]
+    func, model_jac, names = _MODELS[kind]
     sqrt_w = np.sqrt(weights)
 
+    init = dict(init or {})
+    # the exponential decays from x0, which shifts x and is not fitted
+    offset = init.pop("x0", 0.0) if kind == "exponential" else 0.0
     guess = _initial_guesses(kind, x, y, weights, init)
-    frozen = {"x0"} if kind == "exponential" else set()
-    free = [n for n in names if n not in frozen]
-    cols = [names.index(n) for n in free]
-    held = np.array([guess[n] for n in names], dtype=float)
+    x = x - offset
 
     starts = [guess]
     if kind == "recapture" and not init:
-        for fd in (0.5, 1.0, 2.0):
-            for fc in (0.3, 1.0, 3.0):
-                alt = dict(guess)
-                alt["t_d"] = guess["t_d"] * fd
-                alt["t_c"] = guess["t_c"] * fc
-                starts.append(alt)
+        starts += [dict(guess, t_d=guess["t_d"] * fd, t_c=guess["t_c"] * fc)
+                   for fd in (0.5, 1.0, 2.0) for fc in (0.3, 1.0, 3.0)]
 
-    def pack(g):
-        return np.array([g[n] for n in free], dtype=float)
+    def residuals(p):
+        return sqrt_w * (func(x, p) - y)
 
-    def unpack(vec):
-        full = held.copy()
-        full[cols] = vec
-        return full
-
-    def residuals(vec):
-        return sqrt_w * (func(x, unpack(vec)) - y)
-
-    def jacobian(vec):
-        return sqrt_w[:, None] * model_jac(x, unpack(vec))[:, cols]
+    def jacobian(p):
+        return sqrt_w[:, None] * model_jac(x, p)
 
     def solve(start):
         try:
@@ -298,64 +292,39 @@ def _lm_fit(kind, x, y, weights, init):
         except Exception as exc:
             raise FitError(f"{kind} fit failed: {exc}") from exc
 
-    best = None
-    for start in starts:
-        res = solve(pack(start))
-        if best is None or res.cost < best.cost:
-            best = res
+    best = min((solve(np.array([s[n] for n in names], dtype=float)) for s in starts),
+               key=lambda res: res.cost)  # the first of equal costs
 
     if kind == "recapture" and best.x[4] < 0:  # t_c < 0: the mirror branch
         best = solve(_recapture_mirror(best.x))
 
-    res = best
-    p_full = unpack(res.x)
-    chi2 = float(2.0 * res.cost)
-    dof = max(len(x) - len(free), 1)
-    red_chi2 = chi2 / dof
-
-    jtj = res.jac.T @ res.jac
-    try:
-        cov = np.linalg.inv(jtj) * red_chi2
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        errs = np.full(len(free), np.nan)
-
-    params = dict(zip(names, (float(v) for v in p_full)))
-    std = {n: 0.0 for n in names}
-    std.update(dict(zip(free, (float(e) for e in errs))))
-    converged = bool(res.success) and res.status != 0
+    red_chi2, errs, _ = _errors(best.jac, best.fun)
+    params = dict(zip(names, (float(v) for v in best.x)))
+    std = dict(zip(names, (float(e) for e in errs)))
+    if kind == "exponential":
+        params["x0"], std["x0"] = float(offset), 0.0
+    converged = bool(best.success) and best.status != 0
     return FitResult(kind, params, std, red_chi2, converged)
 
 
 def _power_law_fit(x, y, weights):
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValidationError("power-law fit needs strictly positive x and y")
-    lx, ly = np.log(x), np.log(y)
-    design = np.column_stack([lx, np.ones_like(lx)])
-    w = np.asarray(weights, dtype=float)
-    wd = design * np.sqrt(w)[:, None]
-    wy = ly * np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(wd, wy, rcond=None)
-    resid = wy - wd @ coef
-    dof = max(len(x) - 2, 1)
-    red_chi2 = float(resid @ resid) / dof
-    cov = np.linalg.inv(wd.T @ wd) * red_chi2
-    errs = np.sqrt(np.diag(cov))
-    return FitResult(
-        "power_law",
-        {"s": float(coef[0]), "b": float(coef[1])},
-        {"s": float(errs[0]), "b": float(errs[1])},
-        red_chi2,
-        True,
-    )
+    coef, design, resid = _linear_fit(np.column_stack([np.log(x), np.ones_like(x)]),
+                                      np.log(y), np.sqrt(weights))
+    red_chi2, errs, _ = _errors(design, resid)
+    return FitResult("power_law", {"s": float(coef[0]), "b": float(coef[1])},
+                     {"s": float(errs[0]), "b": float(errs[1])}, red_chi2, True)
 
 
 def fit_model(kind, x, y, weights=None, init=None):
     """Fit one of the five analysis models to (x, y) data.
 
     ``weights`` multiply squared residuals (default uniform); ``init``
-    overrides individual starting parameters by name. Returns a
-    FitResult; converged=False carries the best parameters found.
+    overrides individual starting parameters by name, and for the
+    exponential also sets the offset ``x0``. ``power_law`` takes no
+    ``init``. Returns a FitResult; converged=False carries the best
+    parameters found.
     """
     require_finite(**(init or {}))
     x = np.asarray(x, dtype=float)
@@ -365,9 +334,16 @@ def fit_model(kind, x, y, weights=None, init=None):
     require_finite(x=x, y=y)
     if len(x) == 0 or np.all(x == x[0]):
         raise ValidationError("degenerate x data: all abscissae equal")
-    n_params = 2 if kind == "power_law" else len(_MODELS.get(kind, (None, ()))[1])
-    if kind != "power_law" and kind not in _MODELS:
+    if kind == "power_law":
+        n_params, settable = 2, ()
+    elif kind in _MODELS:
+        names = _MODELS[kind][2]
+        n_params, settable = len(names), names + (("x0",) if kind == "exponential" else ())
+    else:
         raise ValidationError(f"unknown model kind {kind!r}")
+    unknown = sorted(set(init or {}) - set(settable))
+    if unknown:
+        raise ValidationError(f"{kind} fit has no parameter {', '.join(unknown)} to set")
     if len(x) < n_params + 1:
         raise ValidationError(f"{kind} fit needs at least {n_params + 1} points")
     if weights is None:
@@ -389,7 +365,9 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     Fits E(theta) = y0 + A*sin(harmonic*theta + phase) with the angular
     frequency fixed (harmonic=4 for a rotating half-wave plate, i.e. a
     pi/2 period in plate angle) by linear least squares, and returns
-    (fss, fit) with fss the peak-to-peak amplitude 2A.
+    (fss, fit) with fss the peak-to-peak amplitude 2A. Angles that do not
+    resolve the harmonic (angles k*pi/4 at harmonic 4, where the sine
+    term is ~0) raise ValidationError.
     """
     angles = np.asarray(angles, dtype=float)
     energies = np.asarray(peak_energies, dtype=float)
@@ -403,12 +381,11 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     if angles.max() - angles.min() < np.pi - 1e-9:
         raise ValidationError("angles must span at least half a rotation (pi)")
 
-    design, coef = _linear_sinusoid(harmonic * angles, energies, np.ones_like(angles))
-    y0, a, b = coef
-    resid = energies - design @ coef
-    dof = max(len(angles) - 3, 1)
-    red_chi2 = float(resid @ resid) / dof
-    cov = np.linalg.inv(design.T @ design) * red_chi2
+    design = _sinusoid_design(harmonic * angles)
+    if np.linalg.matrix_rank(design) < 3:
+        raise ValidationError(f"these angles do not resolve harmonic {harmonic}")
+    (y0, a, b), design, resid = _linear_fit(design, energies, np.ones_like(angles))
+    red_chi2, errs, cov = _errors(design, resid)
     amp = float(np.hypot(a, b))
     phase = float(np.arctan2(b, a))
     if amp > 0:
@@ -422,7 +399,7 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     fit = FitResult(
         "fss_sinusoid",
         {"y0": float(y0), "amplitude": amp, "phase": phase, "fss": fss},
-        {"y0": float(np.sqrt(cov[0, 0])), "amplitude": amp_err, "phase": 0.0,
+        {"y0": float(errs[0]), "amplitude": amp_err, "phase": 0.0,
          "fss": 2.0 * amp_err},
         red_chi2,
         True,

@@ -188,8 +188,7 @@ def test_criterion_6_fit_recovery_suite():
         kinds = ("exponential", "sinusoid", "recapture", "lorentzian")
 
         for kind in kinds:
-            func, names = _MODELS[kind]
-            frozen = {"x0"} if kind == "exponential" else set()
+            func, _, names = _MODELS[kind]
             for i in range(50):
                 true = _draw_params(kind, rng)
                 x = _grid_for(kind, true)
@@ -201,15 +200,12 @@ def test_criterion_6_fit_recovery_suite():
                     got, want = _canonical_sinusoid(got), _canonical_sinusoid(want)
                 scale = float(np.max(np.abs(y)))
                 for n in names:
-                    if n in frozen:
-                        continue
                     tol = 1e-6 * max(abs(want[n]), 1e-3 * scale)
                     assert abs(got[n] - want[n]) <= tol, (kind, i, n)
 
         # 5% multiplicative noise: estimates sigma-consistent with the truth
         for kind in kinds:
-            func, names = _MODELS[kind]
-            frozen = {"x0"} if kind == "exponential" else set()
+            func, _, names = _MODELS[kind]
             for i in range(50):
                 true = _draw_params(kind, rng)
                 x = _grid_for(kind, true)
@@ -222,8 +218,6 @@ def test_criterion_6_fit_recovery_suite():
                 if kind == "sinusoid":
                     got, want = _canonical_sinusoid(got), _canonical_sinusoid(want)
                 for n in names:
-                    if n in frozen:
-                        continue
                     err = fit.std_errors[n]
                     assert abs(got[n] - want[n]) <= max(6 * err, 1e-9), (kind, i, n)
 

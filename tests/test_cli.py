@@ -527,6 +527,15 @@ class TestAnalyzeCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: harmonic must be nonzero") and "Traceback" not in err
 
+    def test_fss_unresolved_harmonic_is_1(self, tmp_path, capsys):
+        angles = np.pi / 4 * np.arange(16)
+        path = tmp_path / "fss.csv"
+        path.write_text("angle_rad,energy_uev\n" +
+                        "\n".join(f"{a},{1000.0 + np.sin(4 * a + 0.4)}" for a in angles))
+        assert main(["analyze", "fss", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: these angles do not resolve harmonic 4")
+
     def test_g2(self, tmp_path, capsys):
         # double-exponential peaks every 12.5 ns; the zero-delay peak is 2 %
         period = 12500.0
@@ -606,6 +615,10 @@ class TestExitCodes:
         ("tomo", "tomography.max_delay_ps", "Infinity"),
         ("tomo", "tomography.min_counts_per_bin", "NaN"),
         ("tomo", "tomography.bootstrap_samples", "2.5"),
+        ("tomo", "tomography", "ab"),
+        ("tomo", "tomography.correction", "5"),
+        ("simulate", "emitter", "[1]"),
+        ("simulate", "io", "null"),
     ])
     def test_bad_config_value_is_1_with_no_output(self, tmp_path, capsys, command, key, value):
         cfg = str(write_config(tmp_path, n_pulses=2000))
@@ -618,6 +631,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key.split(".")[-1] in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,env_seed,name", [("[1]", None, "config"),
+                                                    ("null", None, "config"),
+                                                    ('{"simulation": 5}', None, "simulation"),
+                                                    ('{"simulation": 5}', "3", "simulation")])
+    def test_config_not_an_object_is_1(self, tmp_path, monkeypatch, capsys, text, env_seed,
+                                        name):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        if env_seed is None:
+            monkeypatch.delenv("CASCADE_TOMO_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CASCADE_TOMO_SEED", env_seed)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,name", [
         (["fss-period", "nan"], "period"), (["fss-period", "inf"], "period"),

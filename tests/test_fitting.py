@@ -6,11 +6,13 @@ from qdcascade import (Histogram, ValidationError, first_lens_rate, fit_model,
                        oscillation_period, poisson_weights)
 from qdcascade import fitting
 from qdcascade.correlations import g2_zero
-from qdcascade.fitting import _JACOBIANS, _MODELS
+from qdcascade.fitting import _MODELS, _errors
 
 
 def evaluate(kind, x, params):
-    func, names = _MODELS[kind]
+    func, _, names = _MODELS[kind]
+    if kind == "exponential":  # it decays from the offset x0
+        x = x - params["x0"]
     return func(x, np.array([params[n] for n in names]))
 
 
@@ -21,7 +23,7 @@ class TestNoiselessRecovery:
         fit = fit_model("exponential", x, evaluate("exponential", x, true))
         for k in ("B", "A", "tau"):
             assert fit.params[k] == pytest.approx(true[k], rel=1e-8)
-        assert fit.std_errors["x0"] == 0.0  # frozen parameter
+        assert fit.std_errors["x0"] == 0.0  # an offset, not fitted
 
     def test_exponential_with_offset_origin(self):
         x = np.linspace(1500, 9000, 120)
@@ -125,6 +127,21 @@ class TestFitModelValidation:
         with pytest.raises(ValidationError, match="x0 must be a finite number"):
             fit_model("lorentzian", np.arange(10.0), np.ones(10), init={"x0": bad})
 
+    @pytest.mark.parametrize("kind,init", [("exponential", {"tua": 5000.0}),
+                                           ("exponential", {"t0": 1.0}),
+                                           ("sinusoid", {"x0": 1.0}),
+                                           ("power_law", {"s": 1.0})])
+    def test_init_must_name_a_parameter(self, kind, init):
+        x = np.linspace(1.0, 10.0, 20)
+        name = next(iter(init))
+        with pytest.raises(ValidationError, match=f"{kind} fit has no parameter {name}"):
+            fit_model(kind, x, 1.0 + np.exp(-x / 3.0), init=init)
+
+    def test_singular_fit_gives_nan_errors(self):
+        red_chi2, std, cov = _errors(np.ones((5, 2)), np.arange(5.0))
+        assert red_chi2 == 10.0  # 30 over 5 - 2 degrees of freedom
+        assert np.all(np.isnan(std)) and np.all(np.isnan(cov))
+
     def test_std_error_keys_match(self):
         x = np.linspace(0, 10, 30)
         fit = fit_model("exponential", x, 1 + np.exp(-x / 3.0))
@@ -189,6 +206,13 @@ class TestFssFromPeaks:
         energies[7] = np.nan
         with pytest.raises(ValidationError, match="energies must hold only finite"):
             fss_from_peak_positions(angles, energies)
+
+    @pytest.mark.parametrize("step", [np.pi / 4, np.pi / 2])
+    def test_angles_must_resolve_the_harmonic(self, step):
+        # at k*pi/4 the sine column of harmonic 4 is ~1e-16, so the amplitude is unresolved
+        angles = step * np.arange(16)
+        with pytest.raises(ValidationError, match="do not resolve harmonic 4"):
+            fss_from_peak_positions(angles, self._trace(4.6, 0.4, angles))
 
     @pytest.mark.parametrize("harmonic,message", [(0, "harmonic must be nonzero"),
                                                   (np.nan, "harmonic must be a finite"),
@@ -321,7 +345,7 @@ def _random_point(kind, rng):
     """Parameters and abscissae; negative time constants make the exp cap bind."""
     sign = rng.choice([-1.0, 1.0], size=2)
     if kind == "exponential":
-        p = [rng.normal(), rng.uniform(0.5, 5), rng.uniform(-2, 2), sign[0] * rng.uniform(0.05, 3)]
+        p = [rng.normal(), rng.uniform(0.5, 5), sign[0] * rng.uniform(0.05, 3)]
     elif kind == "sinusoid":
         p = [rng.normal(), rng.uniform(0.5, 3), rng.uniform(1, 10), rng.uniform(-3, 3)]
     elif kind == "recapture":
@@ -339,16 +363,16 @@ def _random_point(kind, rng):
 class TestAnalyticJacobians:
     @pytest.mark.parametrize("kind", sorted(_MODELS))
     def test_matches_central_differences(self, kind, rng):
-        func, _ = _MODELS[kind]
+        func, model_jac, _ = _MODELS[kind]
         capped = 0
         for _ in range(200):
             p, x = _random_point(kind, rng)
-            jac = _JACOBIANS[kind](x, p)
+            jac = model_jac(x, p)
             diffs, floors = _central_differences(func, x, p)
             assert jac.shape == (len(x), len(p))
             assert np.all(np.abs(jac - diffs) <= 1e-6 * np.abs(jac) + 8.0 * floors)
             if kind == "exponential":
-                capped += np.sum(-(x - p[2]) / p[3] > 60.0)
+                capped += np.sum(-x / p[2] > 60.0)
             elif kind == "recapture":
                 u = np.abs(x - p[2])
                 capped += np.sum((-u / p[3] > 60.0) | (-u / p[4] > 60.0))
@@ -357,9 +381,9 @@ class TestAnalyticJacobians:
 
     def test_zero_where_the_cap_binds_and_at_the_cusp(self):
         x = np.array([-500.0, 0.0, 500.0])
-        jac = _JACOBIANS["exponential"](x, np.array([1.0, 2.0, 0.0, 5.0]))
+        jac = _MODELS["exponential"][1](x, np.array([1.0, 2.0, 5.0]))
         assert np.all(jac[0, 2:] == 0.0) and jac[0, 1] == np.exp(60.0)
-        jac = _JACOBIANS["recapture"](x, np.array([1.0, 2.0, 0.0, 300.0, -5.0]))
+        jac = _MODELS["recapture"][1](x, np.array([1.0, 2.0, 0.0, 300.0, -5.0]))
         assert np.all(jac[[0, 2], 4] == 0.0)  # -u/t_c = 100 is capped
         assert jac[1, 2] == 0.0  # d/dt0 at x == t0
 
@@ -388,6 +412,85 @@ class TestAnalyticJacobians:
         # 10 side-peak fits and 10 recapture starts take 69 and 126 calls
         assert 0 < calls["lorentzian"] <= 150
         assert 0 < calls["recapture"] <= 300
+
+
+def _seeded_fits():
+    """One seeded fit of each kind, on data like the analysis commands see."""
+    rng = np.random.default_rng(2024)
+    x = np.arange(0.0, 9000.0, 50.0) + 25.0
+    y = rng.poisson(10.0 + 500.0 * np.exp(-x / 2060.0)).astype(float)
+    w = poisson_weights(y)
+    fits = {"exponential": fit_model("exponential", x, y, weights=w),
+            "exponential_x0": fit_model("exponential", x[7:], y[7:], weights=w[7:],
+                                        init={"x0": 375.0})}
+    x = np.linspace(0, 6000, 60)
+    y = 0.8 + 0.1 * np.sin(2 * np.pi * x / 890.0 + 0.3) + 0.02 * rng.standard_normal(60)
+    fits["sinusoid"] = fit_model("sinusoid", x, y)
+    t = np.arange(-4000.0, 4000.0, 25.0) + 12.5
+    u = np.abs(t - 30.0)
+    y = rng.poisson(5.0 + 3000.0 * np.exp(-u / 1100.0) * (1.0 - np.exp(-u / 546.0)))
+    fits["recapture"] = fit_model("recapture", t, y, weights=poisson_weights(y))
+    x = np.linspace(-5000, 5000, 200)
+    y = rng.poisson(4.0 + 900.0 * 320.0**2 / ((x + 120.0) ** 2 + 320.0**2))
+    fits["lorentzian"] = fit_model("lorentzian", x, y, weights=poisson_weights(y),
+                                   init={"x0": -100.0})
+    x = np.logspace(0, 2, 40)
+    fits["power_law"] = fit_model("power_law", x,
+                                  3.0 * x**1.27 * (1 + 0.05 * rng.standard_normal(40)))
+    angles = np.deg2rad(np.arange(0, 360, 5))
+    energies = 1000.0 + 2.3 * np.sin(4 * angles + 0.4) + 0.05 * rng.standard_normal(len(angles))
+    fits["fss"] = fss_from_peak_positions(angles, energies)[1]
+    return fits
+
+
+#: (params, std_errors, reduced_chi2) of ``_seeded_fits``, as recorded with
+#: numpy 2.4 and scipy 1.17; 1e-9 relative leaves room for older MINPACK builds.
+PINNED_FITS = {
+    "exponential": (
+        {"B": 8.957592412612199, "A": 491.18925266141747, "x0": 0.0, "tau": 2067.169152427484},
+        {"B": 1.064492331459604, "A": 5.901529907259045, "x0": 0.0, "tau": 34.51872451077549},
+        1.100631719526762),
+    "exponential_x0": (
+        {"B": 9.02955452502317, "A": 410.3695002175151, "x0": 375.0, "tau": 2063.1472741274533},
+        {"B": 1.130612421603364, "A": 5.380137625290846, "x0": 0.0, "tau": 40.14651940128347},
+        1.1160721318762745),
+    "sinusoid": (
+        {"y0": 0.8010571065574962, "A": 0.0980216010966715, "P": 889.2807790560528,
+         "phi0": 0.27333724454783315},
+        {"y0": 0.002515200556081267, "A": 0.003534233259882742, "P": 2.6309233101761014,
+         "phi0": 0.07167860477500484},
+        0.0003781267146335654),
+    "recapture": (
+        {"C": 5.980170767675422, "A": 3072.052432671452, "t0": 31.06678503659308,
+         "t_d": 1089.5206868901823, "t_c": 567.1716797356622},
+        {"C": 4.270815956043783, "A": 101.69055372186045, "t0": 0.8169284642605739,
+         "t_d": 21.950304706093096, "t_c": 25.753578100256604},
+        0.9458382717399081),
+    "lorentzian": (
+        {"B": 3.327058628408091, "A": 910.3729475440264, "x0": -125.6485588117247,
+         "gamma": 633.0455189239759},
+        {"B": 0.36923381187180293, "A": 12.913737625277712, "x0": 3.586096389414795,
+         "gamma": 8.643926789436065},
+        1.141574563581568),
+    "power_law": (
+        {"s": 1.2681461278175081, "b": 1.1010237927455733},
+        {"s": 0.005831444813199323, "b": 0.015603695666510138},
+        0.002527212166221712),
+    "fss": (
+        {"y0": 999.9971676661411, "amplitude": 2.3065434600143844, "phase": 0.40290240502573965,
+         "fss": 4.613086920028769},
+        {"y0": 0.006059511136519292, "amplitude": 0.008569442830616392, "phase": 0.0,
+         "fss": 0.017138885661232783},
+        0.002643672615379295),
+}
+
+
+def test_seeded_fits_are_pinned():
+    for name, fit in _seeded_fits().items():
+        params, std_errors, reduced_chi2 = PINNED_FITS[name]
+        assert fit.params == pytest.approx(params, rel=1e-9), name
+        assert fit.std_errors == pytest.approx(std_errors, rel=1e-9), name
+        assert fit.reduced_chi2 == pytest.approx(reduced_chi2, rel=1e-9), name
 
 
 @pytest.fixture
