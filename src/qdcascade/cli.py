@@ -3,8 +3,8 @@
 Subcommands: simulate, tomo, analyze (g2, lifetime, fss, fss-period,
 recapture, power, efficiency) and report; analyze calls the fitting
 and correlation functions directly. Exit codes: 0 success, 1 bad input
-(invalid or unreadable), 2 computation failure. The environment variable
-CASCADE_TOMO_SEED overrides the configured simulation seed.
+(invalid, unreadable or not UTF-8), 2 computation failure. The environment
+variable CASCADE_TOMO_SEED overrides the configured simulation seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import io as qio
 from . import pipeline
 from .config import load_config
 from .correlations import g2_zero
-from .errors import ComputationError, ParseError, ValidationError
+from .errors import ComputationError, ValidationError
 from .fitting import (first_lens_rate, fit_model, fss_from_peak_positions,
                       fss_from_period, poisson_weights)
 from .version import __version__
@@ -90,29 +90,11 @@ def _build_parser():
     return parser
 
 
-def _read_xy_csv(path):
-    with open(path) as fh:
-        fh.readline()  # header
-        # checked here because np.loadtxt only warns on a file with no data
-        body = fh.tell()
-        if not any(line.strip() for line in fh):
-            raise ParseError(f"{path}: no data rows")
-        fh.seek(body)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if data.shape[1] < 2:
-        raise ValidationError(f"{path}: expected two CSV columns")
-    return data[:, 0], data[:, 1]
-
-
 def _emit(result, out_path):
-    text = json.dumps(qio.round_floats(result, 12), indent=2, sort_keys=True)
-    print(text)
+    result = qio.round_floats(result, 12)
+    print(json.dumps(result, indent=2, sort_keys=True))
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        qio.dump_json(result, out_path)
 
 
 def _run_analyze(args):
@@ -131,13 +113,13 @@ def _run_analyze(args):
         y = np.asarray(hist.counts, dtype=float)
         return asdict(fit_model("recapture", hist.bin_centers, y, weights=poisson_weights(y)))
     if args.kind == "fss":
-        angles, energies = _read_xy_csv(args.data)
+        angles, energies = qio.read_xy_csv(args.data)
         fss, fit = fss_from_peak_positions(angles, energies, harmonic=args.harmonic)
         return {"fss_uev": fss, "fit": asdict(fit)}
     if args.kind == "fss-period":
         return {"period_ps": args.period_ps, "fss_uev": fss_from_period(args.period_ps)}
     if args.kind == "power":
-        return asdict(fit_model("power_law", *_read_xy_csv(args.data)))
+        return asdict(fit_model("power_law", *qio.read_xy_csv(args.data)))
     if args.kind == "efficiency":
         return asdict(first_lens_rate(args.measured_cps, args.setup_eff,
                                       args.detector_eff, args.rep_rate))

@@ -8,8 +8,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .errors import ValidationError, require_finite
+from .io import read_json
 from .polarization import Correction
 from .simulate import EmitterConfig, _is_integer
+from .streams import FORMATS
 
 SEED_ENV_VAR = "CASCADE_TOMO_SEED"
 
@@ -74,7 +76,7 @@ class IOConfig:
         if len(self.formats) != 1:  # every stream of a run is written in one format
             raise ValidationError(
                 f"io.formats must hold exactly one stream format, got {list(self.formats)}")
-        if self.formats[0] not in ("binary", "csv"):
+        if self.formats[0] not in FORMATS:
             raise ValidationError(f"unknown stream format {self.formats[0]!r}")
 
 
@@ -129,12 +131,7 @@ def apply_overrides(data, overrides):
 
 def load_config(path, overrides=None) -> RunConfig:
     """Read a RunConfig JSON file, apply overrides and the seed env var."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    data = apply_overrides(_object(data, f"config {path}"), overrides)
+    data = apply_overrides(_object(read_json(path), f"config {path}"), overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:

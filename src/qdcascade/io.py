@@ -1,4 +1,6 @@
-"""CSV and JSON readers/writers for analysis inputs and outputs."""
+"""CSV and JSON readers/writers for analysis inputs and outputs: ``read_json``
+reads every JSON file and ``_read_rows`` every CSV but a stream, naming
+the path of a file that is missing, not UTF-8 or malformed."""
 
 from __future__ import annotations
 
@@ -38,17 +40,28 @@ def dump_json(obj, path, digits=None):
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON document in ``path``; raises ValidationError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_rows(path, columns, parse):
     """The non-blank rows of a CSV whose header is ``columns``, each through ``parse``.
 
-    ``parse`` takes the row's comma-separated fields. A row it rejects
-    (IndexError, ValueError or ValidationError) raises ParseError with
-    the row's index among the lines after the header.
+    ``columns=None`` accepts any header. ``parse`` takes the row's
+    comma-separated fields. A row it rejects (IndexError, ValueError or
+    ValidationError) raises ParseError with the row's index among the
+    lines after the header, as does a file with no data rows. A byte that
+    is not UTF-8 reads as U+FFFD, which no header or number matches.
     """
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
-        if header.split(",") != list(columns):
+        if columns is not None and header.split(",") != list(columns):
             raise ParseError(f"{path}: bad header {header!r}")
         for i, line in enumerate(fh):
             line = line.strip()
@@ -58,6 +71,8 @@ def _read_rows(path, columns, parse):
                 rows.append(parse(line.split(",")))
             except (IndexError, ValueError, ValidationError) as exc:
                 raise ParseError(f"{path}: {exc}", record_index=i) from exc
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     return rows
 
 
@@ -70,6 +85,12 @@ def _uniform_width(path, starts):
     if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
         raise ValidationError(f"{path}: bin grid is not uniform")
     return float(widths[0])
+
+
+def read_xy_csv(path):
+    """The first two columns of a CSV with any header, as float arrays x and y."""
+    rows = _read_rows(path, None, lambda fields: (float(fields[0]), float(fields[1])))
+    return tuple(np.array(rows).T)
 
 
 def _projection_row(fields):
@@ -99,8 +120,6 @@ def read_binned_csv(path):
     for basis, start, counts in _read_rows(path, ("basis", "bin_start_ps", "counts"),
                                            _binned_row):
         rows.setdefault(basis, []).append((start, counts))
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
 
     starts = None
     for basis, pairs in rows.items():

@@ -10,7 +10,6 @@ significant digits.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict
 
@@ -25,11 +24,9 @@ from .polarization import tomography_bases
 from .pool import parallel_map
 from .quantum import PHI_PLUS, concurrence, fidelity, rho_to_dict
 from .simulate import simulate_projection_run
-from .streams import export_stream, import_stream
+from .streams import FORMATS, export_stream, import_stream
 from .tomography import bootstrap_metrics, time_binned_tomography
 from .version import __version__
-
-_STREAM_EXT = {"binary": "ctts", "csv": "csv"}
 
 
 def _child_seed(seed, index):
@@ -48,7 +45,7 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
     out_dir = out_dir or config.io.output_dir
     sim = config.simulation
     fmt = config.io.formats[0]
-    ext = _STREAM_EXT[fmt]
+    ext = FORMATS[fmt]
     streams_dir = os.path.join(out_dir, "streams")
     os.makedirs(streams_dir, exist_ok=True)
 
@@ -83,22 +80,21 @@ def cmd_simulate(config: RunConfig, out_dir=None, include_truth=False):
     return manifest_path
 
 
-def _is_records(value, keys):
-    """True when ``value`` is a list of JSON objects that each hold ``keys``."""
-    return isinstance(value, list) and all(isinstance(e, dict) and keys <= e.keys() for e in value)
+def _is_records(value, keys=(), strings=()):
+    """True when ``value`` is a list of JSON objects that each hold ``keys``
+    and a string at each of ``strings``."""
+    return isinstance(value, list) and all(
+        isinstance(e, dict) and all(k in e for k in keys)
+        and all(isinstance(e.get(k), str) for k in strings) for e in value)
 
 
 def _histograms_from_manifest(manifest_path, config: RunConfig):
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    manifest = qio.read_json(manifest_path)
     files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not _is_records(files, {"basis", "xx_file", "x_file"}):
+    if not _is_records(files, strings=("basis", "xx_file", "x_file")):
         raise ValidationError(f"{manifest_path}: expected an object whose 'files' list holds "
-                              "objects with basis, xx_file and x_file")
+                              "objects with string basis, xx_file and x_file")
     by_basis = {entry["basis"]: entry for entry in files}
     expected = [label for label, _, _ in tomography_bases(config.tomography.basis_count)]
     missing = [label for label in expected if label not in by_basis]
@@ -257,8 +253,6 @@ def build_report(meta):
 #: Columns of metrics_vs_time.csv, one row per report bin.
 _METRICS_COLUMNS = ("bin_start_ps", "bin_width_ps", "total_counts", "fidelity",
                     "fidelity_std", "concurrence", "concurrence_std", "converged")
-#: Keys every bin of tomo_meta.json must hold for ``build_report``.
-_META_BIN_KEYS = {*_METRICS_COLUMNS, "rho_file"}
 
 
 def _write_report(meta, out_dir):
@@ -285,16 +279,15 @@ def _csv_cell(value):
 def cmd_report(run_dir):
     """Regenerate report.json from a previous tomo run's metadata."""
     meta_path = os.path.join(run_dir, "tomo_meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read tomo metadata under {run_dir}: {exc}") from exc
+    meta = qio.read_json(meta_path)
     if not (isinstance(meta, dict) and {"toolkit_version", "config"} <= meta.keys()
-            and _is_records(meta.get("bins"), _META_BIN_KEYS)
-            and isinstance(meta.get("skipped_bins"), list)):
+            and _is_records(meta.get("bins"), _METRICS_COLUMNS, strings=("rho_file",))
+            and isinstance(meta.get("skipped_bins"), list)
+            and isinstance(extra := meta.get("extra_outputs", []), list)
+            and all(isinstance(name, str) for name in extra)):
         raise ValidationError(f"{meta_path}: expected an object with toolkit_version, config, "
-                              "a 'bins' list of bin objects and a 'skipped_bins' list")
+                              "a 'bins' list of bin objects with a string rho_file, a "
+                              "'skipped_bins' list and any 'extra_outputs' as strings")
     for i, b in enumerate(meta["bins"]):
         # a single-set bin written before bins carried a time bin has a null start and width
         keys = ("fidelity", "concurrence") + (

@@ -2,14 +2,14 @@
 
 A stream models the output of a time-to-digital converter: per-event
 channel ids and picosecond timestamps, stored internally as numpy
-arrays. Files come in two flavors:
+arrays. Files come in the two ``FORMATS``, each with its file extension:
 
-* binary: 16-byte header (magic ``CTTS``, u32 version, u64 record
-  count, little endian) followed by one record per event. Version 1
-  records are (channel u8, timestamp u64); version 2 adds a u8 origin
-  code after the channel for simulation-truth exports.
-* CSV: ``channel,timestamp_ps`` with an extra ``origin`` column when
-  truth tags are kept.
+* binary (``.ctts``): 16-byte header (magic ``CTTS``, u32 version, u64
+  record count, little endian) followed by one record per event.
+  Version 1 records are (channel u8, timestamp u64); version 2 adds a
+  u8 origin code after the channel for simulation-truth exports.
+* CSV (``.csv``): ``channel,timestamp_ps`` with an extra ``origin``
+  column when truth tags are kept; a byte that is not UTF-8 is a ParseError.
 
 Simulation-truth origin tags are stripped on export unless explicitly
 requested.
@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
+#: Stream file format -> file extension.
+FORMATS = {"binary": "ctts", "csv": "csv"}
 MAGIC = b"CTTS"
 _HEADER = struct.Struct("<4sIQ")
+_CSV_BLOCK = 1 << 16  # rows per CSV export block, which bounds its memory
 
-ORIGIN_XX = "XX"
-ORIGIN_X = "X"
-ORIGIN_BACKGROUND = "background"
-
-_ORIGIN_CODE = {ORIGIN_XX: 1, ORIGIN_X: 2, ORIGIN_BACKGROUND: 3}
+_ORIGIN_CODE = {"XX": 1, "X": 2, "background": 3}
 _CODE_ORIGIN = {v: k for k, v in _ORIGIN_CODE.items()}
 
 
@@ -100,19 +99,16 @@ def export_stream(stream: TimestampStream, path, fmt="binary", include_truth=Fal
             fh.write(_HEADER.pack(MAGIC, version, len(stream)))
             fh.write(records.data)
     elif fmt == "csv":
+        row = "{},{},{}\n" if truth else "{},{}\n"
         with open(path, "w") as fh:
-            if truth:
-                fh.write("channel,timestamp_ps,origin\n")
-                labels = stream.origin_labels()
-                for c, t, o in zip(stream.channels, stream.timestamps_ps, labels):
-                    fh.write(f"{int(c)},{int(t)},{o}\n")
-            else:
-                fh.write("channel,timestamp_ps\n")
-                np.savetxt(
-                    fh,
-                    np.column_stack([stream.channels, stream.timestamps_ps]),
-                    fmt="%d,%d",
-                )
+            fh.write("channel,timestamp_ps,origin\n" if truth else "channel,timestamp_ps\n")
+            for start in range(0, len(stream), _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                columns = [stream.channels[block].tolist(), stream.timestamps_ps[block].tolist()]
+                if truth:
+                    codes = stream.origins[block].tolist()
+                    columns.append([_CODE_ORIGIN.get(c, "?") for c in codes])
+                fh.write("".join(map(row.format, *columns)))
     else:
         raise ValidationError(f"unknown stream format {fmt!r}")
 
@@ -176,7 +172,7 @@ def _read_binary(path):
 
 
 def _read_csv(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if cols[:2] != ["channel", "timestamp_ps"]:
@@ -189,13 +185,11 @@ def _read_csv(path):
             if not any(line.strip() for line in fh):
                 return [], [], None
             fh.seek(body)
-            try:  # fast path for well-formed numeric files
-                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+            try:  # fast path for well-formed numeric files; a '#' line takes the slow path
+                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
             except ValueError:
                 data = None
             if data is not None:
-                if data.size == 0:
-                    return [], [], None
                 bad = np.flatnonzero((data[:, 0] < 0) | (data[:, 0] > 255))
                 if bad.size:
                     raise ParseError(f"{path}: channel {data[bad[0], 0]} outside 0-255",

@@ -265,6 +265,11 @@ class TestTomoCommand:
         with pytest.raises(ValidationError, match="DR"):
             cmd_tomo(config, manifest=str(manifest_path))
 
+    def test_missing_manifest_is_a_validation_error(self, tmp_path):
+        config = load_config(write_config(tmp_path, n_pulses=2000))
+        with pytest.raises(ValidationError, match="cannot read .*missing.json"):
+            cmd_tomo(config, manifest=str(tmp_path / "missing.json"))
+
     def test_nonzero_correction_rotates_reconstructions(self, tmp_path):
         cfg_path = write_config(tmp_path, n_pulses=25_000)
         config = load_config(cfg_path)
@@ -681,7 +686,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["g2_missing", "counts_missing", "manifest_missing",
                                       "manifest_not_json", "meta_not_json",
-                                      "power_not_numeric", "fss_not_numeric"])
+                                      "power_not_numeric", "fss_not_numeric",
+                                      "config_not_utf8", "manifest_not_utf8", "binned_not_utf8",
+                                      "counts_not_utf8", "fss_not_utf8", "recapture_not_utf8",
+                                      "meta_not_utf8"])
     def test_bad_input_file_is_1(self, tmp_path, capsys, case):
         cfg = str(write_config(tmp_path, n_pulses=2000))
         missing = str(tmp_path / "missing.csv")
@@ -691,6 +699,11 @@ class TestExitCodes:
         (tmp_path / "run" / "tomo_meta.json").write_text("[1, 2")
         table = tmp_path / "table.csv"
         table.write_text("x,y\n1,2\n2,abc\n3,4\n")
+        undecodable = b"\xff\xfe\x00garbage\x80"
+        garbage = str(tmp_path / "garbage.bin")
+        (tmp_path / "garbage.bin").write_bytes(undecodable)
+        (tmp_path / "garbage_run").mkdir()
+        (tmp_path / "garbage_run" / "tomo_meta.json").write_bytes(undecodable)
         argv = {
             "g2_missing": ["analyze", "g2", "--histogram", missing, "--rep-period", "12500"],
             "counts_missing": ["tomo", "--config", cfg, "--counts", missing],
@@ -700,6 +713,13 @@ class TestExitCodes:
             "meta_not_json": ["report", "--dir", str(tmp_path / "run")],
             "power_not_numeric": ["analyze", "power", "--data", str(table)],
             "fss_not_numeric": ["analyze", "fss", "--data", str(table)],
+            "config_not_utf8": ["simulate", "--config", garbage],
+            "manifest_not_utf8": ["tomo", "--config", cfg, "--manifest", garbage],
+            "binned_not_utf8": ["tomo", "--config", cfg, "--binned", garbage],
+            "counts_not_utf8": ["tomo", "--config", cfg, "--counts", garbage],
+            "fss_not_utf8": ["analyze", "fss", "--data", garbage],
+            "recapture_not_utf8": ["analyze", "recapture", "--histogram", garbage],
+            "meta_not_utf8": ["report", "--dir", str(tmp_path / "garbage_run")],
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -710,7 +730,7 @@ class TestExitCodes:
         path = tmp_path / "header_only.csv"
         path.write_text("x,y\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # np.loadtxt warns on a file with no data
+            warnings.simplefilter("error")  # a numpy reader would warn on a file with no data
             assert main(["analyze", kind, "--data", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: no data rows\n"
@@ -740,14 +760,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["manifest_list", "manifest_no_files", "entry_no_basis",
                                       "entry_not_object", "meta_empty", "meta_list",
-                                      "meta_bin_no_fidelity"])
+                                      "meta_bin_no_fidelity", "entry_basis_list",
+                                      "entry_file_not_string", "meta_rho_file_null",
+                                      "meta_extra_not_strings", "meta_extra_string"])
     def test_malformed_json_is_1(self, tmp_path, capsys, case):
         cfg = str(write_config(tmp_path, n_pulses=2000))
         entry = {"basis": "HH", "xx_file": "streams/HH_xx.ctts", "x_file": "streams/HH_x.ctts"}
+        # every basis pair, so that the manifest passes the completeness check
+        entries = [{"basis": label, "xx_file": f"streams/{label}_xx.ctts",
+                    "x_file": f"streams/{label}_x.ctts"} for label, _, _ in tomography_bases(36)]
         bin_ = {"bin_start_ps": 0.0, "bin_width_ps": 100.0, "total_counts": 5,
                 "fidelity_std": None, "concurrence": 0.5, "concurrence_std": None,
                 "converged": True, "rho_file": "bins/bin_0000.json"}
         meta = {"toolkit_version": "0", "config": {}, "skipped_bins": []}
+        full_meta = {**meta, "bins": [{**bin_, "fidelity": 0.9}]}
         document = {
             "manifest_list": [],
             "manifest_no_files": {"basis_count": 36},
@@ -756,6 +782,12 @@ class TestExitCodes:
             "meta_empty": {},
             "meta_list": [meta],
             "meta_bin_no_fidelity": {**meta, "bins": [bin_]},
+            "entry_basis_list": {"files": [{**entry, "basis": ["HH"]}]},
+            "entry_file_not_string": {"files": [{**entries[0], "xx_file": 5}, *entries[1:]]},
+            "meta_rho_file_null": {**meta, "bins": [{**bin_, "fidelity": 0.9,
+                                                      "rho_file": None}]},
+            "meta_extra_not_strings": {**full_meta, "extra_outputs": [1]},
+            "meta_extra_string": {**full_meta, "extra_outputs": "abc"},
         }[case]
         path = tmp_path / ("run/tomo_meta.json" if case.startswith("meta") else "manifest.json")
         path.parent.mkdir(exist_ok=True)

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import make_input, write_tomo_csv
 from qdcascade import PHI_PLUS, Histogram, ParseError, ValidationError, density_of
-from qdcascade.io import (dump_json, read_binned_csv, read_histogram_csv,
-                          read_projection_csv, round_floats, round_sig, write_histogram_csv)
+from qdcascade.io import (dump_json, read_binned_csv, read_histogram_csv, read_json,
+                          read_projection_csv, read_xy_csv, round_floats, round_sig,
+                          write_histogram_csv)
 from qdcascade.tomography import ProjectionRecord, TomographyInput
 
 
@@ -132,3 +133,31 @@ def test_header_must_match_exactly(tmp_path, reader, header, row):
     path.write_text(f"{header}\n{row}\n")
     with pytest.raises(ParseError, match="bad header"):
         reader(path)
+
+
+class TestXyCsv:
+    def test_reads_the_first_two_columns_under_any_header(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("angle_rad,energy_uev,note\n0,1.5,a\n\n0.5, 2.5,b\n")
+        x, y = read_xy_csv(path)
+        assert np.array_equal(x, [0.0, 0.5]) and np.array_equal(y, [1.5, 2.5])
+
+    @pytest.mark.parametrize("text,index", [("x,y\n1,2\n# note\n3,4\n", 1),
+                                            ("x,y\n1,2\n3\n", 1)],
+                             ids=["comment", "one_column"])
+    def test_bad_row_is_indexed(self, tmp_path, text, index):
+        path = tmp_path / "xy.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_xy_csv(path)
+        assert err.value.record_index == index
+
+
+@pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe\x00garbage\x80", None],
+                         ids=["not_json", "not_utf8", "missing"])
+def test_read_json_names_the_path(tmp_path, data):
+    path = tmp_path / "doc.json"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(ValidationError, match=f"cannot read {re.escape(str(path))}"):
+        read_json(path)

@@ -9,7 +9,7 @@ import pytest
 from qdcascade import (ParseError, TimestampStream, ValidationError, export_stream,
                        import_stream)
 from qdcascade.simulate import EmitterConfig, simulate_projection_run
-from qdcascade.streams import _HEADER, _ORIGIN_CODE, _REC_V1, MAGIC
+from qdcascade.streams import _CODE_ORIGIN, _CSV_BLOCK, _HEADER, _ORIGIN_CODE, _REC_V1, MAGIC
 
 
 def small_stream():
@@ -128,6 +128,37 @@ class TestImportEdgeCases:
             import_stream(path)
         assert err.value.record_index == 1
 
+    @pytest.mark.parametrize("data,index", [
+        (b"channel,timestamp_ps\n0,100\n# note\n0,200\n", 1),
+        (b"channel,timestamp_ps\n# note\n", 0),
+        (b"channel,timestamp_ps\n0,100\n0,2\xff0\n", 1),
+        (b"channel,timestamp_ps,origin\n0,100,XX\n0,200,X\x80\n", 1),
+    ], ids=["comment", "comment_only", "not_utf8", "not_utf8_origin"])
+    def test_comment_or_undecodable_row_reports_record(self, tmp_path, data, index):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            import_stream(path)
+        assert err.value.record_index == index
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "garbage.dat"
+        path.write_bytes(b"\xff\xfe\x00garbage\x80")
+        with pytest.raises(ParseError, match="bad CSV header"):
+            import_stream(path)
+
+    def test_csv_export_spans_blocks(self, tmp_path):
+        n = 2 * _CSV_BLOCK + 5
+        rng = np.random.default_rng(3)
+        s = TimestampStream(rng.integers(0, 256, n), np.arange(n) * 7, 7.0 * n,
+                            origins=rng.integers(0, 5, n), _sorted=True)
+        for truth in (False, True):
+            export_stream(s, tmp_path / "s.csv", "csv", include_truth=truth)
+            rows = [f"{c},{t}" + (f",{_CODE_ORIGIN.get(o, '?')}" if truth else "")
+                    for c, t, o in zip(s.channels, s.timestamps_ps, s.origins)]
+            header = "channel,timestamp_ps" + (",origin" if truth else "")
+            assert (tmp_path / "s.csv").read_text() == "\n".join([header, *rows]) + "\n"
+
     @pytest.mark.parametrize("text", [
         "channel,timestamp_ps\n0,100\n256,200\n",
         "channel,timestamp_ps,origin\n0,100,XX\n256,200,X\n",
@@ -172,18 +203,24 @@ def test_simulated_export_is_deterministic(tmp_path):
     assert (tmp_path / "a.ctts").read_bytes() == (tmp_path / "b.ctts").read_bytes()
 
 
-# SHA-256 of the binary file, recorded when export converted the timestamps
-# to uint64 in a temporary and wrote records.tobytes()
-@pytest.mark.parametrize("include_truth,digest", [
-    (False, "29187d9602fe181bb36bfdc2be7a5d1702c7e4224da39d81057b8b845e77b8dc"),
-    (True, "fcd0c77f655abf8d8d71856c399dea955aa301fe0e857b6453043bb98017dff1"),
-], ids=["v1", "v2-truth"])
-def test_simulated_export_is_pinned(tmp_path, include_truth, digest):
+# SHA-256 of the exported file. The binary digests were recorded when export
+# converted the timestamps to uint64 in a temporary and wrote records.tobytes();
+# the CSV ones when export wrote plain rows with np.savetxt and truth rows one
+# at a time.
+@pytest.mark.parametrize("fmt,include_truth,digest", [
+    ("binary", False, "29187d9602fe181bb36bfdc2be7a5d1702c7e4224da39d81057b8b845e77b8dc"),
+    ("binary", True, "fcd0c77f655abf8d8d71856c399dea955aa301fe0e857b6453043bb98017dff1"),
+    ("csv", False, "122a3897818d022de864bb6ec55695deceeabbdf61c63825f8d269d8393fbd54"),
+    ("csv", True, "319abbc34d8ffed8d359429141dd75a0d298ff13b61c64a871eda0b23d21b361"),
+], ids=["v1", "v2-truth", "csv", "csv-truth"])
+def test_simulated_export_is_pinned(tmp_path, fmt, include_truth, digest):
     cfg = EmitterConfig(setup_efficiency=0.6, detector_efficiency=0.7,
                         background_rate=2e5, jitter_sigma=35.0)
     xx, _ = simulate_projection_run(cfg, "DA", 20_000, seed=13)
-    path = tmp_path / "xx.ctts"
-    export_stream(xx, path, "binary", include_truth=include_truth)
+    path = tmp_path / "xx.dat"
+    export_stream(xx, path, fmt, include_truth=include_truth)
     data = path.read_bytes()
-    assert _HEADER.unpack(data[:_HEADER.size]) == (MAGIC, 2 if include_truth else 1, len(xx))
+    if fmt == "binary":
+        assert _HEADER.unpack(data[:_HEADER.size]) == (MAGIC, 2 if include_truth else 1,
+                                                       len(xx))
     assert hashlib.sha256(data).hexdigest() == digest
