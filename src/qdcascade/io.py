@@ -10,6 +10,7 @@ import numpy as np
 
 from .correlations import Histogram
 from .errors import ParseError, ValidationError, require_finite
+from .polarization import pair_projectors
 from .tomography import ProjectionRecord, TomographyInput
 
 
@@ -107,6 +108,7 @@ def read_projection_csv(path) -> TomographyInput:
 
 def _binned_row(fields):
     basis, start, counts = fields
+    pair_projectors(basis)  # refuses a label that names no basis pair
     return basis, float(start), float(counts)
 
 
@@ -140,7 +142,7 @@ def write_histogram_csv(hist: Histogram, path):
     with open(path, "w") as fh:
         fh.write("bin_start_ps,counts\n")
         for start, c in zip(hist.bin_starts, hist.counts):
-            fh.write(f"{start:g},{int(c)}\n")
+            fh.write(f"{np.format_float_positional(start, trim='-')},{int(c)}\n")
 
 
 def _histogram_row(fields):

@@ -16,32 +16,41 @@ from .quantum import validate_density_matrix
 
 BASIS_LABELS = ("H", "V", "D", "A", "R", "L")
 
-#: Orthogonal partner of each label.
-ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "R": "L", "L": "R"}
-
 #: The 16-projection minimal set uses one state of each mutually unbiased pair.
 MINIMAL_LABELS = ("H", "V", "D", "R")
 
 
+_S = 1.0 / np.sqrt(2.0)
+_JONES = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([_S, _S], dtype=complex),
+    "A": np.array([_S, -_S], dtype=complex),
+    "R": np.array([_S, -1j * _S], dtype=complex),
+    "L": np.array([_S, 1j * _S], dtype=complex),
+}
+for _v in _JONES.values():
+    _v.setflags(write=False)
+
+
 def projector_for(basis):
-    """Jones vector of one analyzer setting.
+    """Jones vector of one analyzer setting, read-only.
 
     H=(1,0), V=(0,1), D=(1,1)/sqrt2, A=(1,-1)/sqrt2, R=(1,-i)/sqrt2,
     L=(1,i)/sqrt2.
     """
-    s = 1.0 / np.sqrt(2.0)
-    table = {
-        "H": np.array([1.0, 0.0], dtype=complex),
-        "V": np.array([0.0, 1.0], dtype=complex),
-        "D": np.array([s, s], dtype=complex),
-        "A": np.array([s, -s], dtype=complex),
-        "R": np.array([s, -1j * s], dtype=complex),
-        "L": np.array([s, 1j * s], dtype=complex),
-    }
     try:
-        return table[basis]
+        return _JONES[basis]
     except KeyError:
         raise ValidationError(f"unknown polarization label {basis!r}") from None
+
+
+def pair_projectors(label):
+    """Jones vectors (XX arm, X arm) of a two-letter basis-pair label such
+    as "HV": the one parser of such labels."""
+    if not isinstance(label, str) or len(label) != 2:
+        raise ValidationError(f"basis pair must be two letters, got {label!r}")
+    return projector_for(label[0]), projector_for(label[1])
 
 
 def tomography_bases(count):
@@ -60,11 +69,7 @@ def tomography_bases(count):
         labels = MINIMAL_LABELS
     else:
         raise ValidationError(f"unsupported basis count {count!r}; expected 16 or 36")
-    pairs = []
-    for a in labels:
-        for b in labels:
-            pairs.append((a + b, projector_for(a), projector_for(b)))
-    return pairs
+    return [(a + b, *pair_projectors(a + b)) for a in labels for b in labels]
 
 
 ARMS = ("both", "xx_only", "x_only")

@@ -43,7 +43,7 @@ import numpy as np
 from . import pool
 from .constants import HBAR_UEV_PS
 from .errors import ValidationError, require_finite
-from .polarization import projector_for
+from .polarization import pair_projectors
 from .streams import TimestampStream, _ORIGIN_CODE
 
 #: Detector channel ids used by the generators.
@@ -113,9 +113,7 @@ class EmitterConfig:
 def _resolve_pair(pair):
     """Accept a two-letter label ("VV") or a pair of Jones vectors."""
     if isinstance(pair, str):
-        if len(pair) != 2:
-            raise ValidationError(f"basis pair must be two letters, got {pair!r}")
-        return projector_for(pair[0]), projector_for(pair[1])
+        return pair_projectors(pair)
     a, b = pair
     return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
 
@@ -179,7 +177,7 @@ def _pack(stamps, origin, channel, duration_ps):
     # the stamps are integers, so stamp < duration_ps is stamp < ceil(duration_ps)
     lo, hi = np.searchsorted(stamps, (0, math.ceil(duration_ps)))
     return TimestampStream(np.full(hi - lo, channel, dtype=np.uint8), stamps[lo:hi],
-                           duration_ps, origins=origin[lo:hi], _sorted=True)
+                           origins=origin[lo:hi], _sorted=True)
 
 
 def _finalize(times, origins_code, channel, duration_ps, config, rng):

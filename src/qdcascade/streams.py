@@ -8,11 +8,14 @@ arrays. Files come in the two ``FORMATS``, each with its file extension:
   record count, little endian) followed by one record per event.
   Version 1 records are (channel u8, timestamp u64); version 2 adds a
   u8 origin code after the channel for simulation-truth exports.
-* CSV (``.csv``): ``channel,timestamp_ps`` with an extra ``origin``
-  column when truth tags are kept; a byte that is not UTF-8 is a ParseError.
+* CSV (``.csv``): exactly the header ``channel,timestamp_ps``, or
+  ``channel,timestamp_ps,origin`` with truth tags, and rows as wide.
 
-Simulation-truth origin tags are stripped on export unless explicitly
-requested.
+``import_stream`` tells the formats apart by the magic. The stream type
+checks its stamps (nonnegative) and origin codes (those of
+``_ORIGIN_CODE``); a file that breaks either, is malformed or is not
+UTF-8 raises a ParseError that names its path. Simulation-truth origin
+tags are stripped on export unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -32,17 +35,18 @@ MAGIC = b"CTTS"
 _HEADER = struct.Struct("<4sIQ")
 _CSV_BLOCK = 1 << 16  # rows per CSV export block, which bounds its memory
 
+# contiguous codes 1 to len(_ORIGIN_CODE), so that a min/max test checks a stream's
 _ORIGIN_CODE = {"XX": 1, "X": 2, "background": 3}
 _CODE_ORIGIN = {v: k for k, v in _ORIGIN_CODE.items()}
+_CSV_HEADER = ("channel,timestamp_ps", "channel,timestamp_ps,origin")  # [origins kept]
 
 
 @dataclass
 class TimestampStream:
-    """Time-ordered detection events over a run of given duration (ps)."""
+    """Time-ordered detection events with nonnegative picosecond stamps."""
 
     channels: np.ndarray
     timestamps_ps: np.ndarray
-    duration_ps: float
     origins: Optional[np.ndarray] = None  # uint8 codes, None once stripped
     _sorted: bool = field(default=False, repr=False)
 
@@ -55,14 +59,14 @@ class TimestampStream:
             self.origins = np.asarray(self.origins, dtype=np.uint8)
             if self.origins.shape != self.timestamps_ps.shape:
                 raise ValidationError("origins must match event count")
-        if len(self.timestamps_ps):
-            ts = self.timestamps_ps
-            # sorted stamps have their extremes at the ends: no full scan
-            lo, hi = (ts[0], ts[-1]) if self._sorted else (ts.min(), ts.max())
-            if lo < 0:
-                raise ValidationError("timestamps must be nonnegative")
-            if hi >= self.duration_ps:
-                raise ValidationError("timestamps must be below the stream duration")
+            codes, top = self.origins, len(_ORIGIN_CODE)
+            if len(codes) and (codes.min() < 1 or codes.max() > top):
+                bad = int(np.flatnonzero((codes < 1) | (codes > top))[0])
+                raise ValidationError(f"bad origin code {codes[bad]} (record {bad})")
+        ts = self.timestamps_ps
+        # sorted stamps have their minimum first: no full scan
+        if len(ts) and (ts[0] if self._sorted else ts.min()) < 0:
+            raise ValidationError("timestamps must be nonnegative")
         if not self._sorted:
             order = np.argsort(self.timestamps_ps, kind="stable")
             self.channels = self.channels[order]
@@ -77,7 +81,7 @@ class TimestampStream:
     def origin_labels(self):
         if self.origins is None:
             return None
-        return np.array([_CODE_ORIGIN.get(int(c), "?") for c in self.origins])
+        return np.array([_CODE_ORIGIN[c] for c in self.origins.tolist()])
 
 
 _REC_V1 = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
@@ -87,7 +91,7 @@ _REC_V2 = np.dtype([("channel", "u1"), ("origin", "u1"), ("timestamp", "<u8")])
 def export_stream(stream: TimestampStream, path, fmt="binary", include_truth=False):
     """Write a stream to ``path``; origin tags are dropped unless asked for."""
     path = str(path)
-    truth = include_truth and stream.origins is not None
+    truth = bool(include_truth) and stream.origins is not None
     if fmt == "binary":
         version = 2 if truth else 1
         records = np.empty(len(stream), dtype=_REC_V2 if truth else _REC_V1)
@@ -101,34 +105,29 @@ def export_stream(stream: TimestampStream, path, fmt="binary", include_truth=Fal
     elif fmt == "csv":
         row = "{},{},{}\n" if truth else "{},{}\n"
         with open(path, "w") as fh:
-            fh.write("channel,timestamp_ps,origin\n" if truth else "channel,timestamp_ps\n")
+            fh.write(_CSV_HEADER[truth] + "\n")
             for start in range(0, len(stream), _CSV_BLOCK):
                 block = slice(start, start + _CSV_BLOCK)
                 columns = [stream.channels[block].tolist(), stream.timestamps_ps[block].tolist()]
                 if truth:
                     codes = stream.origins[block].tolist()
-                    columns.append([_CODE_ORIGIN.get(c, "?") for c in codes])
+                    columns.append([_CODE_ORIGIN[c] for c in codes])
                 fh.write("".join(map(row.format, *columns)))
     else:
         raise ValidationError(f"unknown stream format {fmt!r}")
 
 
-def import_stream(path, fmt=None) -> TimestampStream:
-    """Read a stream file; format is sniffed from the magic when not given.
+def import_stream(path) -> TimestampStream:
+    """Read a stream file: binary if it starts with the magic, else CSV.
 
     Out-of-order timestamps are accepted with a warning and sorted,
-    matching how raw tagger dumps are normalized on ingestion.
+    matching how raw tagger dumps are normalized on ingestion. Every
+    error names the path.
     """
     path = str(path)
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "csv"
-    if fmt == "binary":
-        channels, timestamps, origins = _read_binary(path)
-    elif fmt == "csv":
-        channels, timestamps, origins = _read_csv(path)
-    else:
-        raise ValidationError(f"unknown stream format {fmt!r}")
+    with open(path, "rb") as fh:
+        binary = fh.read(len(MAGIC)) == MAGIC
+    channels, timestamps, origins = (_read_binary if binary else _read_csv)(path)
 
     channels = np.array(channels, dtype=np.uint8)
     timestamps = np.array(timestamps, dtype=np.int64)
@@ -136,12 +135,10 @@ def import_stream(path, fmt=None) -> TimestampStream:
     in_order = not np.any(timestamps[1:] < timestamps[:-1])
     if not in_order:
         warnings.warn(f"{path}: timestamps not sorted; sorting on import")
-    if len(timestamps):
-        duration = float((timestamps[-1] if in_order else timestamps.max()) + 1)
-    else:
-        duration = 0.0
-    return TimestampStream(channels, timestamps, duration, origins=origins,
-                           _sorted=in_order)
+    try:
+        return TimestampStream(channels, timestamps, origins=origins, _sorted=in_order)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _read_binary(path):
@@ -149,9 +146,7 @@ def _read_binary(path):
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ParseError(f"{path}: truncated header")
-        magic, version, count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
+        _, version, count = _HEADER.unpack(header)
         if version not in (1, 2):
             raise ParseError(f"{path}: unsupported version {version}")
         dtype = _REC_V2 if version == 2 else _REC_V1
@@ -161,23 +156,16 @@ def _read_binary(path):
             f"{path}: expected {count} records, payload holds {len(payload) // dtype.itemsize}"
         )
     records = np.frombuffer(payload, dtype=dtype)
-    origins = None
-    if version == 2:
-        origins = records["origin"]
-        bad = np.nonzero(~np.isin(origins, list(_CODE_ORIGIN)))[0]
-        if bad.size:
-            raise ParseError(f"{path}: bad origin code", record_index=int(bad[0]))
     # import_stream makes the one int64 copy
-    return records["channel"], records["timestamp"], origins
+    return records["channel"], records["timestamp"], records["origin"] if version == 2 else None
 
 
 def _read_csv(path):
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:2] != ["channel", "timestamp_ps"]:
+        if header not in _CSV_HEADER:
             raise ParseError(f"{path}: bad CSV header {header!r}")
-        has_origin = len(cols) == 3 and cols[2] == "origin"
+        has_origin = header == _CSV_HEADER[True]
         if not has_origin:
             # an empty file is fine; checked here because np.loadtxt warns on
             # it, and warnings.catch_warnings is not safe across threads
@@ -189,7 +177,7 @@ def _read_csv(path):
                 data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
             except ValueError:
                 data = None
-            if data is not None:
+            if data is not None and data.shape[1] == 2:
                 bad = np.flatnonzero((data[:, 0] < 0) | (data[:, 0] > 255))
                 if bad.size:
                     raise ParseError(f"{path}: channel {data[bad[0], 0]} outside 0-255",
@@ -206,6 +194,8 @@ def _read_csv(path):
                 continue
             parts = line.split(",")
             try:
+                if len(parts) != 2 + has_origin:
+                    raise ValueError(f"{len(parts)} fields, want {2 + has_origin}")
                 channel = int(parts[0])
                 if not 0 <= channel <= 255:
                     raise ValueError(f"channel {channel} outside 0-255")
@@ -213,6 +203,6 @@ def _read_csv(path):
                 timestamps.append(int(parts[1]))
                 if has_origin:
                     origins.append(_ORIGIN_CODE[parts[2]])
-            except (ValueError, IndexError, KeyError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise ParseError(f"{path}: {exc}", record_index=i) from exc
     return channels, timestamps, origins

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
-from .polarization import BASIS_LABELS, ORTHOGONAL, projector_for
+from .polarization import BASIS_LABELS, pair_projectors
 from .quantum import project_physical, validate_density_matrix
 
 #: Born probabilities below this floor are clamped inside the likelihood
@@ -80,11 +80,7 @@ class ProjectionRecord:
     acquisition_weight: float = 1.0
 
     def __post_init__(self):
-        if len(self.basis_pair) != 2:
-            raise ValidationError(f"basis pair must be two letters, got {self.basis_pair!r}")
-        for ch in self.basis_pair:
-            if ch not in ORTHOGONAL:
-                raise ValidationError(f"unknown polarization label {ch!r}")
+        pair_projectors(self.basis_pair)  # refuses a label that names no basis pair
         require_finite(counts=self.counts, acquisition_weight=self.acquisition_weight)
         if self.counts < 0:
             raise ValidationError(f"counts must be >= 0, got {self.counts!r}")
@@ -159,7 +155,7 @@ _ARM_BASES = tuple(zip(BASIS_LABELS[::2], BASIS_LABELS[1::2]))  # (H,V), (D,A), 
 
 @functools.lru_cache(maxsize=16)
 def _projection_setup(pairs):
-    psis = np.array([np.kron(projector_for(a), projector_for(b)) for a, b in pairs])
+    psis = np.array([np.kron(*pair_projectors(p)) for p in pairs])
     design = _design(psis)
     full_rank = bool(np.linalg.matrix_rank(design) == 16)
     cols = np.einsum("kij,mj->mik", _BASIS, psis)  # T psi_v = cols[v] @ t

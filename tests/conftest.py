@@ -11,6 +11,10 @@ from qdcascade.tomography import (ProjectionRecord, TomographyInput, _linear_inv
                                   _prepared, expected_probability)
 
 
+#: Orthogonal partner of each analyzer label.
+ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "R": "L", "L": "R"}
+
+
 def random_physical_rho(rng, rank=4):
     """Random density matrix of the given rank (Ginibre construction)."""
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))

@@ -746,6 +746,22 @@ class TestExitCodes:
         assert err.startswith(f"error: {meta_path}: bins[0].{key} must be a finite number")
         assert not (tmp_path / "report.json").exists()
 
+    def test_undecodable_binned_label_names_its_row(self, tmp_path, capsys):
+        # such a label once started a series of its own, and the error named
+        # the grid of a valid pair
+        cfg = str(write_config(tmp_path, n_pulses=2000))
+        csv = tmp_path / "binned.csv"
+        write_tomo_csv(csv, binned_histograms(2))
+        lines = csv.read_bytes().split(b"\n")
+        lines[5] = b"H\xffD" + lines[5][2:]
+        csv.write_bytes(b"\n".join(lines))
+        out = tmp_path / "o2"
+        assert main(["tomo", "--config", cfg, "--binned", str(csv), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: basis pair must be two letters")
+        assert err.rstrip().endswith("(record 4)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["counts_missing", "binned_missing", "wrong_pair_count"])
     def test_bad_tomo_input_makes_no_output_tree(self, tmp_path, case):
         cfg = str(write_config(tmp_path, n_pulses=2000))

@@ -85,6 +85,14 @@ class TestBinnedCsv:
         assert np.array_equal(back["HH"].counts, [5, 6, 7])
         assert back["VV"].bin_width == 100.0
 
+    def test_bad_label_names_its_row(self, tmp_path):
+        # a label no pair matches was once read as a series of its own
+        path = tmp_path / "bad.csv"
+        path.write_text("basis,bin_start_ps,counts\nHH,0,1\nHH,100,2\nHQ,0,1\nHQ,100,2\n")
+        with pytest.raises(ParseError, match="unknown polarization label 'Q'") as err:
+            read_binned_csv(path)
+        assert err.value.record_index == 2
+
     def test_mismatched_grids_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -103,6 +111,20 @@ class TestHistogramCsv:
         assert back.bin_width == 50.0
         assert back.origin == -200.0
         assert np.array_equal(back.counts, h.counts)
+
+    @pytest.mark.parametrize("width,origin", [(1 / 3, 0.0), (1 / 3, 12345.25), (0.1, 12345.25),
+                                              (50.0, -68750.0)])
+    def test_round_trip_is_exact(self, tmp_path, width, origin):
+        # six significant digits once wrote 12345.25 as 12345.2 and made a
+        # 1/3 ps grid nonuniform
+        h = Histogram(width, origin, np.arange(9))
+        path = tmp_path / "h.csv"
+        write_histogram_csv(h, path)
+        starts = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+        assert starts == h.bin_starts.tolist()
+        back = read_histogram_csv(path)
+        assert back.origin == origin
+        assert back.bin_width == pytest.approx(width, rel=1e-9)
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "h.csv"

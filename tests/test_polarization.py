@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_physical_rho, waveplate_jones
+from conftest import ORTHOGONAL, random_physical_rho, waveplate_jones
 from qdcascade import (PHI_PLUS, Correction, ValidationError, concurrence, density_of,
                        projector_for, tomography_bases)
-from qdcascade.polarization import BASIS_LABELS, ORTHOGONAL
+from qdcascade.polarization import BASIS_LABELS, pair_projectors
 from qdcascade.quantum import validate_density_matrix
 
 angles = st.floats(-10.0, 10.0)
@@ -42,6 +42,19 @@ class TestProjectors:
     def test_unknown_label(self):
         with pytest.raises(ValidationError):
             projector_for("Q")
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            projector_for("H")[0] = 0.0
+
+    def test_pair_projectors(self):
+        xx, x = pair_projectors("HR")
+        assert xx is projector_for("H") and x is projector_for("R")
+
+    @pytest.mark.parametrize("label", ["H", "HVD", "HQ", ("H", "V"), None])
+    def test_pair_projectors_rejects(self, label):
+        with pytest.raises(ValidationError, match="two letters|unknown polarization label"):
+            pair_projectors(label)
 
 
 class TestWaveplates:

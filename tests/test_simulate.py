@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import ORTHOGONAL
 from qdcascade import (HBAR_UEV_PS, RunConfig, ValidationError, cross_correlate,
                        density_of, time_evolved_state)
-from qdcascade.polarization import ORTHOGONAL, projector_for
+from qdcascade.polarization import projector_for
 from qdcascade import pool, simulate
 from qdcascade.simulate import (EmitterConfig, _draws_below, simulate_autocorrelation_run,
                                 simulate_projection_run)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -9,14 +10,14 @@ import pytest
 from qdcascade import (ParseError, TimestampStream, ValidationError, export_stream,
                        import_stream)
 from qdcascade.simulate import EmitterConfig, simulate_projection_run
-from qdcascade.streams import _CODE_ORIGIN, _CSV_BLOCK, _HEADER, _ORIGIN_CODE, _REC_V1, MAGIC
+from qdcascade.streams import (_CODE_ORIGIN, _CSV_BLOCK, _HEADER, _ORIGIN_CODE, _REC_V1,
+                               _REC_V2, MAGIC)
 
 
 def small_stream():
     return TimestampStream(
         channels=np.array([0, 0, 0], dtype=np.uint8),
         timestamps_ps=np.array([120, 5, 999], dtype=np.int64),
-        duration_ps=1000.0,
         origins=np.array(
             [_ORIGIN_CODE["XX"], _ORIGIN_CODE["background"], _ORIGIN_CODE["XX"]],
             dtype=np.uint8,
@@ -32,17 +33,22 @@ class TestStreamType:
 
     def test_validation(self):
         with pytest.raises(Exception):
-            TimestampStream(np.array([0]), np.array([-5]), 10.0)
-        with pytest.raises(Exception):
-            TimestampStream(np.array([0]), np.array([50]), 10.0)
+            TimestampStream(np.array([0]), np.array([-5]))
 
     @pytest.mark.parametrize("in_order", [True, False])
-    @pytest.mark.parametrize("stamps", [[-5, 3, 7], [3, 7, 10], [0, 3, 50]])
+    @pytest.mark.parametrize("stamps", [[-5, 3, 7]])
     def test_out_of_range_stamp_rejected_on_both_paths(self, stamps, in_order):
-        # a sorted stream is checked at its ends, an unsorted one by a full scan
+        # a sorted stream is checked at its start, an unsorted one by a full scan
         ts = np.array(stamps if in_order else stamps[::-1])
-        with pytest.raises(ValidationError, match="nonnegative|below the stream duration"):
-            TimestampStream(np.zeros(3), ts, 10.0, _sorted=in_order)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            TimestampStream(np.zeros(3), ts, _sorted=in_order)
+
+    @pytest.mark.parametrize("codes,record", [([1, 4, 2], 1), ([0, 1], 0), ([3, 3, 255], 2)])
+    def test_unknown_origin_code_names_record(self, codes, record):
+        # export and import both know only the codes of _ORIGIN_CODE
+        with pytest.raises(ValidationError, match=f"bad origin code {codes[record]} "
+                                                  rf"\(record {record}\)"):
+            TimestampStream(np.zeros(len(codes)), np.arange(len(codes)), origins=codes)
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
@@ -64,7 +70,7 @@ class TestRoundTrip:
         assert np.array_equal(back.origins, s.origins)
 
     def test_empty(self, fmt, tmp_path):
-        s = TimestampStream(np.zeros(0, np.uint8), np.zeros(0, np.int64), 0.0)
+        s = TimestampStream(np.zeros(0, np.uint8), np.zeros(0, np.int64))
         path = tmp_path / f"e.{fmt}"
         export_stream(s, path, fmt)
         assert len(import_stream(path)) == 0
@@ -90,18 +96,57 @@ class TestImportEdgeCases:
         assert list(back.channels) == [0, 1, 1]
         assert back.timestamps_ps.dtype == np.int64
         assert back.timestamps_ps.flags.c_contiguous
-        assert back.duration_ps == 501.0
 
     def test_sorted_binary_duration_and_range(self, tmp_path):
         records = np.zeros(3, dtype=_REC_V1)
         records["timestamp"] = [100, 300, 500]
         path = tmp_path / "s.ctts"
         path.write_bytes(_HEADER.pack(MAGIC, 1, 3) + records.tobytes())
-        assert import_stream(path).duration_ps == 501.0
+        assert list(import_stream(path).timestamps_ps) == [100, 300, 500]
         records["timestamp"] = [2**63 + 5, 2**63 + 6, 2**63 + 7]  # negative as int64
         path.write_bytes(_HEADER.pack(MAGIC, 1, 3) + records.tobytes())
-        with pytest.raises(ValidationError, match="nonnegative"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*nonnegative"):
             import_stream(path)
+
+    def test_negative_csv_stamp_names_the_path(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("channel,timestamp_ps\n0,-5\n0,7\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*nonnegative"):
+            import_stream(path)
+
+    def test_bad_binary_origin_code_names_path_and_record(self, tmp_path):
+        records = np.zeros(3, dtype=_REC_V2)
+        records["origin"] = [1, 4, 2]
+        records["timestamp"] = [1, 2, 3]
+        path = tmp_path / "o.ctts"
+        path.write_bytes(_HEADER.pack(MAGIC, 2, 3) + records.tobytes())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: bad origin code 4 "
+                                             r"\(record 1\)"):
+            import_stream(path)
+
+    @pytest.mark.parametrize("header", ["channel,timestamp_ps,foo",
+                                        "channel,timestamp_ps,origin,extra"])
+    def test_header_must_be_a_stream_header(self, tmp_path, header):
+        # such a third column was once dropped without a word
+        path = tmp_path / "h.csv"
+        path.write_text(f"{header}\n0,100,7\n")
+        with pytest.raises(ParseError, match="bad CSV header"):
+            import_stream(path)
+
+    @pytest.mark.parametrize("text,index", [
+        ("channel,timestamp_ps\n0,100\n0,200,7\n", 1),
+        ("channel,timestamp_ps\n0,100,7\n0,200,7\n", 0),
+        ("channel,timestamp_ps\n5\n7\n", 0),
+        ("channel,timestamp_ps,origin\n0,100,XX,1\n", 0),
+        ("channel,timestamp_ps,origin\n0,100,XX\n0,200\n", 1),
+    ], ids=["plain_long", "plain_all_long", "plain_short", "origin_long", "origin_short"])
+    def test_row_must_have_the_header_width(self, tmp_path, text, index):
+        # a third field was once dropped, and a one-field body raised IndexError
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="fields") as err:
+            import_stream(path)
+        assert err.value.record_index == index
 
     def test_concurrent_csv_imports_keep_warning_filters(self, tmp_path):
         # the pipeline imports streams on several threads, where a
@@ -150,11 +195,11 @@ class TestImportEdgeCases:
     def test_csv_export_spans_blocks(self, tmp_path):
         n = 2 * _CSV_BLOCK + 5
         rng = np.random.default_rng(3)
-        s = TimestampStream(rng.integers(0, 256, n), np.arange(n) * 7, 7.0 * n,
-                            origins=rng.integers(0, 5, n), _sorted=True)
+        s = TimestampStream(rng.integers(0, 256, n), np.arange(n) * 7,
+                            origins=rng.integers(1, 4, n), _sorted=True)
         for truth in (False, True):
             export_stream(s, tmp_path / "s.csv", "csv", include_truth=truth)
-            rows = [f"{c},{t}" + (f",{_CODE_ORIGIN.get(o, '?')}" if truth else "")
+            rows = [f"{c},{t}" + (f",{_CODE_ORIGIN[o]}" if truth else "")
                     for c, t, o in zip(s.channels, s.timestamps_ps, s.origins)]
             header = "channel,timestamp_ps" + (",origin" if truth else "")
             assert (tmp_path / "s.csv").read_text() == "\n".join([header, *rows]) + "\n"
@@ -174,7 +219,7 @@ class TestImportEdgeCases:
         path = tmp_path / "bad.ctts"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ParseError, match="header|magic"):
-            import_stream(path, fmt="binary")
+            import_stream(path)
 
     def test_truncated_payload(self, tmp_path):
         good = tmp_path / "good.ctts"
