@@ -10,9 +10,10 @@ Model forms:
 * ``power_law``     log y = s*log x + b, fitted linearly in log-log space
 * ``lorentzian``    y = B + A*(g/2)^2 / ((x - x0)^2 + (g/2)^2)
 
-Nonlinear kinds run Levenberg-Marquardt (MINPACK ``lmder``) from
-data-driven starting points with each model's closed-form Jacobian
-(``_MODELS``), never finite differences. Each Jacobian is the
+Nonlinear kinds run Levenberg-Marquardt from data-driven starting points
+with each model's closed-form Jacobian (``_MODELS``), never finite
+differences, in ``_damped_minimize``, the damped Newton solver that the
+tomography MLE shares, with J^T J as the curvature. Each Jacobian is the
 derivative of the model as evaluated, so it is 0 where ``_safe_exp``'s
 cap binds, and the recapture ``t0`` column takes sign(x - t0), 0 at the
 cusp. Every fit, linear or not, takes its errors from one rule
@@ -21,12 +22,7 @@ freedom and std = sqrt(diag(inv(J^T J)) * reduced chi-square), with J the
 weighted Jacobian (the weighted design of a linear fit) at the solution.
 Where J^T J is singular the errors are nan. Non-finite x, y or weights
 are rejected as bad input. For raw count data pass
-``weights=poisson_weights(y)``. scipy's ``least_squares`` is imported
-by the first nonlinear fit of a process, not with this module, so
-``import qdcascade`` loads numpy only and code that fits no curve
-(``simulate``, config loading, the linear ``power_law`` and
-``fss_from_peak_positions``) never loads scipy. Without scipy a
-nonlinear fit raises ImportError, not FitError.
+``weights=poisson_weights(y)``.
 
 The sinusoid start takes P from the strongest FFT component and then
 (y0, A, phi0) from the weighted linear least-squares solve at that
@@ -37,7 +33,9 @@ The recapture model has an exact mirror: (A, t_d, t_c) and
 (-A, 1/(1/t_d + 1/t_c), -t_c) draw the same curve. A fit that converges
 to the mirror (t_c < 0) is mapped back and refitted there, so recapture
 fits always return the physical branch (A >= 0, t_d, t_c > 0) of a peak,
-with errors from that branch's Jacobian.
+with errors from that branch's Jacobian. Its cost has a kink wherever t0
+crosses a data point, where a solve can stall, so it ends with a solve
+of the other four parameters at its t0.
 """
 
 from __future__ import annotations
@@ -261,10 +259,64 @@ def _initial_guesses(kind, x, y, weights, init):
     return guess
 
 
-def _lm_fit(kind, x, y, weights, init):
-    # outside ``solve``'s try, so that a missing scipy is not a FitError
-    from scipy.optimize import least_squares
+#: Steps (calls of ``value`` after the first) one ``_damped_minimize`` may take.
+_MAX_ITERATIONS = 1000
 
+
+def _damped_minimize(value, derivatives, x):
+    """Minimize f from x by damped Newton steps; (x, value(x), steps, converged).
+
+    ``value(x)`` returns a tuple that starts with f, and ``derivatives(x,
+    value(x))`` the gradient g and a symmetric curvature C (a Hessian, or
+    J^T J). Each step solves (|C| + lam I) s = -g, |C| having C's
+    eigenvalues made positive, on parameters scaled by the largest
+    sqrt|C_ii| seen so far (as in Moré's Levenberg-Marquardt). lam starts
+    at 1e-6 of the largest scaled |eigenvalue|, shrinks 4x when a step
+    lowers f and grows 8x when not.
+    The solve ends, converged, on the gradient: when every scaled
+    |g_i| / sqrt|C_ii| is at most 1e-11 sqrt|f| (for least squares, when
+    every column of J is that close to orthogonal to the residuals). Once
+    g.|C|^-1.g falls to 1e-14 f, below which f cannot resolve a decrease,
+    steps are undamped and taken while they halve the scaled gradient;
+    the first that does not also ends the solve, as does a step that no
+    longer moves x. It stops unconverged when _MAX_ITERATIONS calls of
+    ``value`` after the first (``steps``) run out. A start where f is not
+    finite raises FitError.
+    """
+    res = value(x)
+    if not np.isfinite(res[0]):
+        raise FitError(f"the objective is {res[0]} at the starting point")
+    grad, curv = derivatives(x, res)
+    scale, lam, steps = np.zeros_like(x), None, 0
+    while True:  # at each taken step
+        scale = np.maximum(scale, np.sqrt(np.abs(np.diag(curv))))
+        scale[scale == 0.0] = 1.0
+        scaled_grad = grad / scale
+        if np.abs(scaled_grad).max() <= 1e-11 * abs(res[0]) ** 0.5:
+            return x, res, steps, True
+        evals, evecs = np.linalg.eigh(curv / np.outer(scale, scale))
+        evals = np.abs(evals)
+        evals = np.maximum(evals, 1e-16 * evals.max())  # no division by 0 on a null direction
+        gw = evecs.T @ scaled_grad
+        lam = 1e-6 * evals.max() if lam is None else lam / 4.0
+        finishing = gw @ (gw / evals) <= 1e-14 * res[0]
+        while True:  # at each step tried
+            trial = x - (evecs @ (gw / (evals if finishing else evals + lam))) / scale
+            if np.array_equal(trial, x) or steps == _MAX_ITERATIONS:
+                return x, res, steps, steps < _MAX_ITERATIONS
+            steps += 1
+            trial_res = value(trial)
+            if finishing or trial_res[0] < res[0]:
+                break
+            lam *= 8.0
+        trial_grad, curv = derivatives(trial, trial_res)
+        if finishing and not (np.linalg.norm(trial_grad / scale)
+                              <= 0.5 * np.linalg.norm(scaled_grad)):
+            return x, res, steps, True
+        x, res, grad = trial, trial_res, trial_grad
+
+
+def _lm_fit(kind, x, y, weights, init):
     func, model_jac, names = _MODELS[kind]
     sqrt_w = np.sqrt(weights)
 
@@ -279,31 +331,40 @@ def _lm_fit(kind, x, y, weights, init):
         starts += [dict(guess, t_d=guess["t_d"] * fd, t_c=guess["t_c"] * fc)
                    for fd in (0.5, 1.0, 2.0) for fc in (0.3, 1.0, 3.0)]
 
-    def residuals(p):
-        return sqrt_w * (func(x, p) - y)
-
     def jacobian(p):
         return sqrt_w[:, None] * model_jac(x, p)
 
-    def solve(start):
-        try:
-            return least_squares(residuals, start, jac=jacobian, method="lm",
-                                 xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
-        except Exception as exc:
-            raise FitError(f"{kind} fit failed: {exc}") from exc
+    def solve(start, free=slice(None)):
+        """(p, cost, weighted residuals, converged) from ``start``, fitting p[free]."""
+        def cost(q):
+            p = start.copy()
+            p[free] = q
+            resid = sqrt_w * (func(x, p) - y)
+            return 0.5 * float(resid @ resid), resid, p
+
+        def derivatives(q, res):
+            jac = jacobian(res[2])[:, free]
+            return res[1] @ jac, jac.T @ jac
+
+        _, (f, resid, p), _, converged = _damped_minimize(cost, derivatives, start[free])
+        return p, f, resid, converged
 
     best = min((solve(np.array([s[n] for n in names], dtype=float)) for s in starts),
-               key=lambda res: res.cost)  # the first of equal costs
+               key=lambda res: res[1])  # the first of equal costs
 
-    if kind == "recapture" and best.x[4] < 0:  # t_c < 0: the mirror branch
-        best = solve(_recapture_mirror(best.x))
+    if kind == "recapture":
+        if best[0][4] < 0:  # t_c < 0: the mirror branch
+            best = solve(_recapture_mirror(best[0]))
+        # t0 may sit on a kink with the rest short of their optimum
+        held = solve(best[0], np.array(names) != "t0")
+        best = held[:3] + (best[3] and held[3],)
 
-    red_chi2, errs, _ = _errors(best.jac, best.fun)
-    params = dict(zip(names, (float(v) for v in best.x)))
+    p, _, resid, converged = best
+    red_chi2, errs, _ = _errors(jacobian(p), resid)
+    params = dict(zip(names, (float(v) for v in p)))
     std = dict(zip(names, (float(e) for e in errs)))
     if kind == "exponential":
         params["x0"], std["x0"] = float(offset), 0.0
-    converged = bool(best.success) and best.status != 0
     return FitResult(kind, params, std, red_chi2, converged)
 
 

@@ -51,7 +51,13 @@ class TimestampStream:
     _sorted: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.uint8)
+        channels = np.asarray(self.channels)
+        if channels.dtype != np.uint8:  # an unchecked cast would wrap 256 to 0
+            wide = np.flatnonzero((channels < 0) | (channels > 255))
+            if wide.size:
+                raise ValidationError(f"channel {channels.flat[wide[0]]} outside 0-255 "
+                                      f"(record {wide[0]})")
+        self.channels = channels.astype(np.uint8, copy=False)
         self.timestamps_ps = np.asarray(self.timestamps_ps, dtype=np.int64)
         if self.channels.shape != self.timestamps_ps.shape:
             raise ValidationError("channels and timestamps must have equal length")

@@ -21,8 +21,8 @@ each record's acquisition weight.
 T is linear in t, so every Born probability is a ratio of real
 quadratic forms, p_v = t.M_v.t / t.t, and L has a closed-form gradient
 and Hessian. The forms depend only on the basis-pair order and are
-built once per order. The fit is a damped Newton solve on them; see
-``mle_reconstruct`` for its stopping rules.
+built once per order. The fit runs ``fitting._damped_minimize``, the
+damped Newton solver that the curve fits share.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
+from .fitting import _damped_minimize
 from .polarization import BASIS_LABELS, pair_projectors
 from .quantum import project_physical, validate_density_matrix
 
@@ -41,10 +42,6 @@ from .quantum import project_physical, validate_density_matrix
 PROBABILITY_FLOOR = 1e-12
 
 _RIDGE = 1e-12
-
-#: Damped Newton steps one reconstruction may try before it reports
-#: ``converged=False``. The closed-loop bins need at most a few hundred.
-_MAX_ITERATIONS = 1000
 
 # lower-triangle off-diagonal order: (row, col) pairs below the diagonal
 _OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
@@ -265,7 +262,7 @@ def _hessian(t, grad, terms, forms, counts, norms):
     """Hessian of L at t, D^T diag(L''(p)) D + (2/s)(sum_v L'_v M_v - (L'.p) I)
     - (2/s)(t grad^T + grad t^T), from the terms ``_objective_and_grad`` formed at t."""
     s, p, q, low, d1, jac = terms
-    d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * q**3))
+    d2 = np.where(low, norms / PROBABILITY_FLOOR, counts**2 / (norms * (q * q * q)))
     # the dot that tensordot(d1, forms, axes=1) makes, without its reshaping
     curv = (np.dot(d1[None], forms.reshape(len(forms), 256)).reshape(16, 16)
             - float(d1 @ p) * _IDENTITY_16)
@@ -277,19 +274,11 @@ def mle_reconstruct(input: TomographyInput):
     """Maximum-likelihood density matrix for one projection data set.
 
     Starts from the physical projection of the linear inversion, via a
-    Cholesky factorization of the (slightly regularized) seed, scaled
-    to |t| = 1. Each step solves (|H| + lam I) dt = -grad, with |H| the
-    Hessian with its eigenvalues made positive, and renormalizes t; a
-    step that lowers L is taken and lam shrinks 4x, otherwise lam grows
-    8x and the step is tried again. lam starts at 1e-6 of the largest
-    |eigenvalue| of the seed's Hessian. The solve stops, converged, when
-    max|grad| <= 1e-10 max(1, L), when a taken step lowers L by at most
-    1e-14 of its value, or when the damped step no longer moves t (no
-    damping gives a decrease). ``iterations`` counts the steps tried,
-    taken or not; ``converged`` is False only when _MAX_ITERATIONS runs
-    out. The Hessian is formed only at the seed and at taken steps.
-    Returns the better of the fit and the seed, so the result is never
-    worse than the seed.
+    Cholesky factorization of the (slightly regularized) seed, and
+    minimizes L with ``fitting._damped_minimize`` on its Hessian. L does
+    not depend on |t|, so t is scaled to 1 once, not after each step.
+    ``iterations`` counts the objective calls after the seed's. Returns
+    the better of the fit and the seed, so the result is never worse.
     """
     setup, counts, _, norms = _prepared(input)
     rho_seed = project_physical(_linear_inversion(setup, counts, norms))
@@ -300,33 +289,9 @@ def mle_reconstruct(input: TomographyInput):
         t = np.ones(16)
     t = t / np.linalg.norm(t)
 
-    val, grad, terms = _objective_and_grad(t, setup.forms, counts, norms)
-    evals, evecs = np.linalg.eigh(_hessian(t, grad, terms, setup.forms, counts, norms))
-    lam = 1e-6 * np.abs(evals).max()
-    iterations, converged = 0, False
-    while iterations < _MAX_ITERATIONS:
-        if np.abs(grad).max() <= 1e-10 * max(1.0, val):
-            converged = True
-            break
-        step = -evecs @ ((evecs.T @ grad) / (np.abs(evals) + lam))
-        if np.linalg.norm(step) <= 1e-15:  # |t| = 1: no damping gives a decrease
-            converged = True
-            break
-        trial = t + step
-        trial /= np.linalg.norm(trial)
-        iterations += 1
-        trial_val, trial_grad, terms = _objective_and_grad(trial, setup.forms, counts, norms)
-        if trial_val < val:
-            small = val - trial_val <= 1e-14 * val
-            t, val, grad = trial, trial_val, trial_grad
-            if small:
-                converged = True
-                break
-            evals, evecs = np.linalg.eigh(_hessian(t, grad, terms, setup.forms, counts, norms))
-            lam /= 4.0
-        else:
-            lam *= 8.0
-
+    t, _, iterations, converged = _damped_minimize(
+        lambda t: _objective_and_grad(t, setup.forms, counts, norms),
+        lambda t, res: (res[1], _hessian(t, *res[1:], setup.forms, counts, norms)), t)
     rho_opt = rho_from_t(t)
     opt_nll = _nll_from_probs(_probabilities(setup.design, rho_opt), counts, norms)
     if opt_nll <= seed_nll:

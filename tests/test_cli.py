@@ -410,22 +410,22 @@ def file_digests(root):
 #: "bins" hashes every bins/*.json file, in name order.
 PINNED_TOMO_DIGESTS = {
     "both": {
-        "report.json": "4bac927404851b9ec2de39e18d55310c6ffef95e45d86a7a5d0e5af47dd15120",
-        "tomo_meta.json": "b20498d4784fd94b447099d421d17972d7f97adfd5aab8f609a25bf3648fccf5",
-        "metrics_vs_time.csv": "0db12d59403abb45e10da82777b7975131240809809780522d8a1a1059b06f24",
-        "bins": "ea642ed437716fa9468aae5ba5fb29b9550d912cdde0972f8ad7963f929138c2",
+        "report.json": "6b56c15b740a705dc3458a55613b62e375a1b016df0ad9b2a2383ea85f3141ca",
+        "tomo_meta.json": "2ef13d8b3d409fca585e45d234561cf6086255feb072491035a16aa71f01076f",
+        "metrics_vs_time.csv": "ecfd38d01cca37f8bc13bc3d8c0463e47426c8f1f55c35cc250e12ea43ed04b3",
+        "bins": "3d57ae856dec3310fb3194fcc3500da9c00a91eed65e73285763bf2a95b03343",
     },
     "xx_only": {
-        "report.json": "19f725b6a7c8e6cfb20c0a156810dc565cfee653756f2f59df77bc6b02d5c484",
-        "tomo_meta.json": "c8d273f6be81c6094b19892674536531ce403f492bb4b10a96b2887aaf6001c4",
-        "metrics_vs_time.csv": "1c4827786c95acee538142b26f2f6ef9587b007ae2d1d52bf00bddfeed6b4aad",
-        "bins": "e25aeca7e4f1ed14690fab75ce5bc71c53a2d07f825f5b8b4f57cd3e180968b5",
+        "report.json": "b3913f474425ac4b0b98f7808aa0994e0b5fdb41955e0ee9c79301bca139dea0",
+        "tomo_meta.json": "a410b6120163bb024e782ce544a5cfffb8eabeba56ec2f0b80aeff0bd9b1dd4b",
+        "metrics_vs_time.csv": "417fe00a056ee994df2d4d86e38735b2622ff1d92be6307dbf62710180b041df",
+        "bins": "994dbde6fe09125218a47f051f355ffaf838fc308aec52e5433925c7d0ce9dc7",
     },
     "x_only": {
-        "report.json": "a527c2478a73a94ba3961699bd7886b8adc6477ec8d5322c026b62b31596fd05",
-        "tomo_meta.json": "5df11148c669bd5acb45a4b3e38b65a71904f05196141b463e42cf84cae31111",
-        "metrics_vs_time.csv": "573073d98dd4d216bcc2f106ff2032d44f82908c25e00097fc60b5f2f955985d",
-        "bins": "3ab590dc54174a972ff2c1a23f5f7e0190d501453e233907646acc1de23980db",
+        "report.json": "616c7cf4a974aa393fad82b82cdc2627117c3cb08f6cf75e9eb9deafd63a1d90",
+        "tomo_meta.json": "d4b5e3336f6c1a4043468889e0e04d4ae5047bec79227b75801a0e91ea0f2b92",
+        "metrics_vs_time.csv": "c9cab9ba171697ac5194fccd42769f9bac46b14b387cfc3c130a353aeebfeca3",
+        "bins": "7bde02664cb6f946baed505c5f3fac5f09f7e0c4df9f9801469aaa069fbe62ad",
     },
 }
 

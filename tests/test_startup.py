@@ -1,12 +1,10 @@
-"""scipy is loaded by the first nonlinear curve fit, not by ``import qdcascade``.
+"""qdcascade runs on numpy alone: no import, command or curve fit loads scipy.
 
 Every check runs in a fresh interpreter, since this test process has
-long since imported scipy.
+long since imported scipy (the tests use it as an oracle).
 """
 
 import json
-
-import pytest
 
 from conftest import run_python
 
@@ -44,19 +42,29 @@ assert main(["simulate", "--config", sys.argv[1]]) == 1
 """ + NO_SCIPY, tmp_path / "missing.json")
 
 
-def test_linear_fits_load_no_scipy_and_the_first_curve_fit_does():
+def test_commands_and_curve_fits_load_no_scipy(tmp_path):
+    config = {"simulation": {"n_pulses": 20000, "seed": 1},
+              "tomography": {"max_delay_ps": 1500}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
     check("""
 import sys
 import numpy as np
-from qdcascade import fit_model, fss_from_peak_positions
-x = np.linspace(1.0, 10.0, 12)
-fit_model("power_law", x, 3.0 * x**0.8)
-angles = np.linspace(0.0, np.pi, 16)
-fss_from_peak_positions(angles, 1.0 + 0.2 * np.sin(4 * angles))
-""" + NO_SCIPY + """
-fit_model("sinusoid", x, 0.5 + 0.3 * np.sin(2 * np.pi * x / 4.0))
-assert "scipy.optimize" in sys.modules
-""")
+from qdcascade.cli import main
+from qdcascade.correlations import Histogram
+from qdcascade.io import write_histogram_csv
+
+root, cfg = sys.argv[1], sys.argv[1] + "/config.json"
+assert main(["simulate", "--config", cfg, "--out", root + "/sim"]) == 0
+# tomo and report fit the fidelity oscillation, a nonlinear sinusoid fit
+assert main(["tomo", "--config", cfg, "--manifest", root + "/sim/manifest.json",
+             "--out", root + "/tomo"]) == 0
+assert main(["report", "--dir", root + "/tomo"]) == 0
+u = np.abs(np.arange(-4000.0, 4000.0, 25.0) + 12.5 - 30.0)
+y = np.random.default_rng(3).poisson(5.0 + 3000.0 * np.exp(-u / 1100.0)
+                                     * (1.0 - np.exp(-u / 546.0)))
+write_histogram_csv(Histogram(25.0, -4000.0, y), root + "/xx.csv")
+assert main(["analyze", "recapture", "--histogram", root + "/xx.csv"]) == 0
+""" + NO_SCIPY, tmp_path)
 
 
 def test_concurrent_first_fits_match_a_serial_fit():
@@ -83,29 +91,3 @@ assert not any(t.is_alive() for t in threads)
 serial = asdict(fit_model("lorentzian", x, y))
 assert results == [serial, serial], (results, serial)
 """)
-
-
-@pytest.mark.parametrize("call", ["fit", "report"])
-def test_missing_scipy_is_an_import_error_not_a_failed_fit(call):
-    # a FitError here would read as "no oscillation" in build_report and as a
-    # failed side peak in g2_zero
-    check("""
-import sys
-sys.modules["scipy.optimize"] = None  # an interpreter without scipy
-import numpy as np
-from qdcascade import fit_model, pipeline
-
-x = 100.0 * np.arange(8) + 50.0
-y = 0.5 + 0.4 * np.sin(2 * np.pi * x / 890.0)
-bins = [{"bin_start_ps": s - 50.0, "bin_width_ps": 100.0, "total_counts": 1000.0,
-         "fidelity": f, "fidelity_std": None, "concurrence": 0.95,
-         "concurrence_std": None, "converged": True, "rho_file": f"bins/bin_{k:04d}.json"}
-        for k, (s, f) in enumerate(zip(x, y))]
-meta = {"toolkit_version": "0", "config": {}, "bins": bins, "skipped_bins": []}
-try:
-    fit_model("sinusoid", x, y) if sys.argv[1] == "fit" else pipeline.build_report(meta)
-except ImportError:
-    pass
-else:
-    raise AssertionError("no ImportError")
-""", call)

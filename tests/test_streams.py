@@ -43,6 +43,12 @@ class TestStreamType:
         with pytest.raises(ValidationError, match="nonnegative"):
             TimestampStream(np.zeros(3), ts, _sorted=in_order)
 
+    @pytest.mark.parametrize("channels,record", [([256, 257], 0), ([0, -1], 1)])
+    def test_channel_outside_u8_names_record(self, channels, record):
+        with pytest.raises(ValidationError, match=f"channel {channels[record]} outside "
+                                                  rf"0-255 \(record {record}\)"):
+            TimestampStream(np.array(channels), np.arange(len(channels)))
+
     @pytest.mark.parametrize("codes,record", [([1, 4, 2], 1), ([0, 1], 0), ([3, 3, 255], 2)])
     def test_unknown_origin_code_names_record(self, codes, record):
         # export and import both know only the codes of _ORIGIN_CODE
