@@ -29,6 +29,13 @@ part of the stream. A Bernoulli draw whose outcome is certain
 (probability 0 or 1) is not made: the generator is advanced past it
 instead, so every later draw is the same as if it had been made. Each
 channel is sorted once, in ``_pack``.
+
+A projection run holds two float arrays of one entry per excited pulse,
+the XX and X delays, and one-byte codes per pulse: the excitation draw,
+the joint outcome and the two detection flags. Uniforms and pulse start
+times are drawn or formed ``_BLOCK`` pulses at a time. The delays turn in
+place into the emission times, and each channel's detected float times
+are freed as soon as they are rounded to stamps.
 """
 
 from __future__ import annotations
@@ -111,11 +118,21 @@ class EmitterConfig:
 
 
 def _resolve_pair(pair):
-    """Accept a two-letter label ("VV") or a pair of Jones vectors."""
+    """Accept a two-letter label ("VV") or a pair of Jones vectors (XX arm,
+    X arm), each of shape (2,), finite and nonzero."""
     if isinstance(pair, str):
         return pair_projectors(pair)
-    a, b = pair
-    return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    vectors = []
+    for arm, v in zip(("XX", "X"), pair, strict=True):
+        name = f"Jones vector of the {arm} arm"
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (2,):
+            raise ValidationError(f"{name} must have shape (2,), got {v.shape}")
+        require_finite(**{name: v})
+        if not np.any(v):
+            raise ValidationError(f"{name} must not be zero")
+        vectors.append(v)
+    return tuple(vectors)
 
 
 def _orthogonal_vector(v):
@@ -129,17 +146,21 @@ def _is_integer(value):
 def _draws_below(rng, m, p):
     """``rng.random(m) < p``, or the bool True (p >= 1) or False (p <= 0)
     when every draw is certain; then the m draws are skipped by advancing
-    the generator, which takes one 64-bit output per double."""
+    the generator, which takes one 64-bit output per double. The uniforms
+    are drawn ``_BLOCK`` at a time, so only the bools are held whole."""
     if 0.0 < p < 1.0:
-        return rng.random(m) < p
+        below, u = np.empty(m, dtype=bool), np.empty(min(m, _BLOCK))
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            np.less(rng.random(out=u[:hi - lo]), p, out=below[lo:hi])
+        return below
     rng.bit_generator.advance(m)
     return p >= 1.0
 
 
-def _excited_times(rng, config, lo, hi):
+def _start_times(excited, lo, hi, config):
     """Start times (ps) of the pulses ``lo`` to ``hi - 1`` that excite the dot,
-    in pulse order."""
-    excited = _draws_below(rng, hi - lo, config.excitation_fraction)
+    in pulse order; ``excited`` is True or those pulses' excitation draws."""
     # float pulse numbers are exact below 2**53
     pulses = (np.arange(lo, hi, dtype=float) if excited is True
               else np.flatnonzero(excited) + float(lo))
@@ -181,16 +202,18 @@ def _pack(stamps, origin, channel, duration_ps):
 
 
 def _finalize(times, origins_code, channel, duration_ps, config, rng):
-    """Jitter, background, quantization and packing of one channel of a run."""
+    """Jitter, background, quantization and packing of one channel of a run.
+    ``times`` is freed once rounded, unless the caller still holds it."""
     stamps, origin = _detect(times, origins_code, config, rng, 0.0, duration_ps)
+    del times
     return _pack(stamps, origin, channel, duration_ps)
 
 
-def _joint_outcomes(a, b, fss, d_x, u):
+def _joint_outcomes(a, b, fss, d_x, rng):
     """Joint projection outcome of each pulse, as int8 in 0-3.
 
     The outcomes index (ab, ab', a'b, a'b'); ``d_x`` holds each pulse's
-    XX-to-X delay and ``u`` its uniform draw, which is scaled in place.
+    XX-to-X delay. Each pulse takes one uniform from ``rng``, in pulse order.
     """
     # Running sums of the joint outcome distribution at each delay, built
     # in place. With phi = fss*d_x/hbar and z = conj(c_hh)*c_vv,
@@ -213,6 +236,7 @@ def _joint_outcomes(a, b, fss, d_x, u):
     # scalars, made by the same additions as the rows below.
     m = len(d_x)
     outcome = np.empty(m, dtype=np.int8)
+    u_buf = np.empty(min(m, _BLOCK))
     oscillates = use_cos or use_sin
     if oscillates:
         cum_buf, term_buf = np.empty((4, min(m, _BLOCK))), np.empty(min(m, _BLOCK))
@@ -234,7 +258,7 @@ def _joint_outcomes(a, b, fss, d_x, u):
                     row += np.multiply(sin_phi, s, out=term)
                 if k:
                     row += cum[k - 1]
-        u_blk = u[lo:hi]
+        u_blk = rng.random(out=u_buf[:hi - lo])
         u_blk *= cum[-1]
         outcome[lo:hi] = (u_blk >= cum[0]).astype(np.int8) + (u_blk >= cum[1]) + (u_blk >= cum[2])
     return outcome
@@ -249,14 +273,14 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     Returns (xx_stream, x_stream) on channels 0 and 1.
     """
     _check_pulses(n_pulses)
+    a, b = _resolve_pair(pair)
     rng = np.random.default_rng(seed)
     duration = n_pulses * config.rep_period_ps
-    pulse_t = _excited_times(rng, config, 0, n_pulses)
-    a, b = _resolve_pair(pair)
-    m = len(pulse_t)
+    excited = _draws_below(rng, n_pulses, config.excitation_fraction)
+    m = n_pulses if excited is True else int(np.count_nonzero(excited))
     d_xx = rng.exponential(config.tau_xx, m)
     d_x = rng.exponential(config.tau_x, m)
-    outcome = _joint_outcomes(a, b, config.fss, d_x, rng.random(m))
+    outcome = _joint_outcomes(a, b, config.fss, d_x, rng)
 
     # outcomes 0 and 1 pass the XX arm (a), outcomes 0 and 2 the X arm (b);
     # then each photon survives its efficiency draw, drawn XX first
@@ -267,16 +291,23 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
         if survived is not True:
             detected &= survived
 
-    # pulse_t becomes the XX emission times, then the X emission times
-    pulse_t += d_xx
+    # d_xx becomes the XX emission times (pulse start + XX delay) and then
+    # d_x the X emission times, adding the start times block by block
+    done = 0
+    for lo in range(0, n_pulses, _BLOCK):
+        hi = min(lo + _BLOCK, n_pulses)
+        start = _start_times(excited if excited is True else excited[lo:hi], lo, hi, config)
+        d_xx[done:done + len(start)] += start
+        done += len(start)
+    del excited
+    times = [np.compress(xx_detected, d_xx)]
+    d_x += d_xx
     del d_xx
-    xx_times = np.compress(xx_detected, pulse_t)
-    pulse_t += d_x
-    del d_x
-    x_times = np.compress(x_detected, pulse_t)
-    del pulse_t, xx_detected, x_detected
-    xx_stream = _finalize(xx_times, _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
-    x_stream = _finalize(x_times, _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
+    times.append(np.compress(x_detected, d_x))
+    del d_x, xx_detected, x_detected
+    # popped, so _finalize holds each channel's float times alone
+    xx_stream = _finalize(times.pop(0), _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
+    x_stream = _finalize(times.pop(), _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
     return xx_stream, x_stream
 
 
@@ -285,7 +316,8 @@ def _autocorrelation_block(config, species, n_pulses, seed_seq, lo):
     its span, as (stamps, origins) of splitter outputs a and b."""
     rng = np.random.default_rng(seed_seq)
     hi = min(lo + _PULSE_BLOCK, n_pulses)
-    times = _excited_times(rng, config, lo, hi)
+    excited = _draws_below(rng, hi - lo, config.excitation_fraction)
+    times = _start_times(excited, lo, hi, config)
     m = len(times)
 
     # times turns from pulse times into emission times in place (X: XX then X delay)

@@ -188,7 +188,10 @@ ELLIPTICAL = (np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),
 # simulator works through the pulses in blocks of 65,536, so the 150,000-pulse
 # runs cross block boundaries and end in a partial block. HD and RV, recorded
 # before the simulator summed constant rows as scalars, have constant joint
-# probabilities of 1/4; the two runs of equal length draw the same bytes.
+# probabilities of 1/4; the two runs of equal length draw the same bytes. DR
+# at 2 * 65,536 pulses fills every block, and the lossy elliptical run uses
+# both terms on pulses picked by the excitation draw; both were recorded
+# while the run still held its pulse times and uniforms whole.
 PINNED_DIGESTS = [
     pytest.param(DEFAULTS, "HH", 20_000, "88cc845ddfcce3377f893849862923828f2a084726d69baffdbc99537c1a54f8",
                  id="default-HH"),
@@ -234,6 +237,11 @@ PINNED_DIGESTS = [
                  id="default-RV"),
     pytest.param(LOSSY, "RV", 150_000, "ab98326bc2f54c2b0ba0670fa4a794888c2b8c0e818926039c83571187708596",
                  id="lossy-RV-150k"),
+    pytest.param(DEFAULTS, "DR", 2 * simulate._BLOCK,
+                 "81be16ffc4839703f83ed00aab5f2c019c1591c79724b6d980518e392520dcd7",
+                 id="default-DR-full-blocks"),
+    pytest.param(LOSSY, ELLIPTICAL, 150_000, "3203e4fcd24c2c94c9401e071a33c8aedded6ec6f5fb23b84004019426d8db48",
+                 id="lossy-elliptical-150k"),
 ]
 
 
@@ -272,7 +280,8 @@ def test_projection_run_drops_events_outside_the_run(monkeypatch):
     assert h.hexdigest() == "e0357707a198432d1139a47c64caed12072807f986f531779ceef0fd41467e99"
 
 
-@pytest.mark.parametrize("m,p", [(1000, 1.0), (1000, 0.0), (0, 1.0), (0, 0.0), (1000, 0.3)])
+@pytest.mark.parametrize("m,p", [(1000, 1.0), (1000, 0.0), (0, 1.0), (0, 0.0), (1000, 0.3),
+                                 (2 * simulate._BLOCK + 3, 0.3)])
 def test_draws_below_leaves_the_generator_as_random_does(m, p):
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     rng.exponential(1.0, 7)
@@ -293,15 +302,33 @@ def test_non_integer_n_pulses_is_rejected(run, n_pulses):
 
 
 def test_projection_run_peak_memory():
-    # the closed loop runs several of these at once, so their peak sets its
-    # memory; whole-array outcome sums peaked near 130 MB
-    tracemalloc.start()
-    try:
-        simulate_projection_run(DEFAULTS, ELLIPTICAL, 1_000_000, seed=11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 60e6
+    # the closed loop runs two of these at once, so their peak sets its
+    # memory. A run holds its two delay arrays and one-byte codes per pulse,
+    # about 25 MiB at 1M pulses. Holding the pulse times, the uniforms and
+    # both channels' float times as well peaked at 35.5 MiB (DEFAULTS, DA)
+    # and 29.2 MiB (LOSSY, DA); whole-array outcome sums near 130 MB.
+    for config, pair in ((DEFAULTS, "DA"), (LOSSY, "DA"), (DEFAULTS, ELLIPTICAL)):
+        tracemalloc.start()
+        try:
+            simulate_projection_run(config, pair, 1_000_000, seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2 ** 20, (config, pair)
+
+
+@pytest.mark.parametrize("pair,message", [
+    pytest.param((np.zeros(2), [1, 0]), "the XX arm must not be zero", id="zero-xx"),
+    pytest.param(([1, 0], [0j, 0j]), "the X arm must not be zero", id="zero-x"),
+    pytest.param(([1, 0], [1, 0, 0]), r"the X arm must have shape \(2,\)", id="3-vector"),
+    pytest.param(([[1, 0]], [1, 0]), r"the XX arm must have shape \(2,\)", id="row-matrix"),
+    pytest.param(([np.nan, 1], [1, 0]), "the XX arm must hold only finite", id="nan"),
+    pytest.param(([1, 0], [1, complex(0, np.inf)]), "the X arm must hold only finite", id="inf"),
+])
+def test_jones_pair_is_validated(pair, message):
+    # a zero vector used to give two empty streams, a 3-vector its first two entries
+    with pytest.raises(ValidationError, match=message):
+        simulate_projection_run(DEFAULTS, pair, 10_000, seed=1)
 
 
 def test_autocorrelation_run_peak_memory():
