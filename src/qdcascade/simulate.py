@@ -28,14 +28,14 @@ thread count does not change a byte, but the block size does: it is
 part of the stream. A Bernoulli draw whose outcome is certain
 (probability 0 or 1) is not made: the generator is advanced past it
 instead, so every later draw is the same as if it had been made. Each
-channel is sorted once, in ``_pack``.
+stream is sorted once, in ``_pack``.
 
 A projection run holds two float arrays of one entry per excited pulse,
 the XX and X delays, and one-byte codes per pulse: the excitation draw,
 the joint outcome and the two detection flags. Uniforms and pulse start
 times are drawn or formed ``_BLOCK`` pulses at a time. The delays turn in
-place into the emission times, and each channel's detected float times
-are freed as soon as they are rounded to stamps.
+place into the emission times, and each detector's float times are freed
+as soon as they are rounded to stamps.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ from .constants import HBAR_UEV_PS
 from .errors import ValidationError, require_finite
 from .polarization import pair_projectors
 from .streams import TimestampStream, _ORIGIN_CODE
-
-#: Detector channel ids used by the generators.
-CHANNEL_XX = 0
-CHANNEL_X = 1
 
 #: Pulses per block of the outcome computation in ``simulate_projection_run``.
 _BLOCK = 65_536
@@ -179,7 +175,7 @@ def _background_times(rng, rate_cps, start_ps, end_ps):
 
 
 def _detect(times, origins_code, config, rng, start_ps, end_ps):
-    """One channel's photons with jitter, then its background over
+    """One detector's photons with jitter, then its background over
     [start, end): integer stamps and origin codes, in that order, unsorted."""
     if config.jitter_sigma > 0 and len(times):
         times = times + rng.normal(0.0, config.jitter_sigma, len(times))
@@ -190,23 +186,22 @@ def _detect(times, origins_code, config, rng, start_ps, end_ps):
     return np.rint(times, out=times).astype(np.int64), origin
 
 
-def _pack(stamps, origin, channel, duration_ps):
-    """The stream of one channel's stamps: the events in [0, duration) are a
+def _pack(stamps, origin, duration_ps):
+    """The stream of one detector's stamps: the events in [0, duration) are a
     slice of the stably sorted stamps, as if they were filtered and then sorted."""
     order = np.argsort(stamps, kind="stable")
     stamps, origin = stamps.take(order), origin.take(order)
     # the stamps are integers, so stamp < duration_ps is stamp < ceil(duration_ps)
     lo, hi = np.searchsorted(stamps, (0, math.ceil(duration_ps)))
-    return TimestampStream(np.full(hi - lo, channel, dtype=np.uint8), stamps[lo:hi],
-                           origins=origin[lo:hi], _sorted=True)
+    return TimestampStream(stamps[lo:hi], origins=origin[lo:hi], _sorted=True)
 
 
-def _finalize(times, origins_code, channel, duration_ps, config, rng):
-    """Jitter, background, quantization and packing of one channel of a run.
+def _finalize(times, origins_code, duration_ps, config, rng):
+    """Jitter, background, quantization and packing of one detector of a run.
     ``times`` is freed once rounded, unless the caller still holds it."""
     stamps, origin = _detect(times, origins_code, config, rng, 0.0, duration_ps)
     del times
-    return _pack(stamps, origin, channel, duration_ps)
+    return _pack(stamps, origin, duration_ps)
 
 
 def _joint_outcomes(a, b, fss, d_x, rng):
@@ -270,7 +265,7 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     Each cascaded pair is projected onto (a, b) vs the orthogonal
     complements; a photon reaches its detector only when its arm passes,
     and then survives with the combined setup and detector efficiency.
-    Returns (xx_stream, x_stream) on channels 0 and 1.
+    Returns (xx_stream, x_stream).
     """
     _check_pulses(n_pulses)
     a, b = _resolve_pair(pair)
@@ -305,9 +300,9 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
     del d_xx
     times.append(np.compress(x_detected, d_x))
     del d_x, xx_detected, x_detected
-    # popped, so _finalize holds each channel's float times alone
-    xx_stream = _finalize(times.pop(0), _ORIGIN_CODE["XX"], CHANNEL_XX, duration, config, rng)
-    x_stream = _finalize(times.pop(), _ORIGIN_CODE["X"], CHANNEL_X, duration, config, rng)
+    # popped, so _finalize holds each detector's float times alone
+    xx_stream = _finalize(times.pop(0), _ORIGIN_CODE["XX"], duration, config, rng)
+    x_stream = _finalize(times.pop(), _ORIGIN_CODE["X"], duration, config, rng)
     return xx_stream, x_stream
 
 
@@ -367,6 +362,6 @@ def simulate_autocorrelation_run(config: EmitterConfig, species, n_pulses, seed)
         origin = np.concatenate([block[output][1] for block in blocks])
         for block in blocks:  # the joined copy replaces the parts
             block[output] = None
-        return _pack(stamps, origin, output, duration)
+        return _pack(stamps, origin, duration)
 
     return tuple(pool.parallel_map(join, (0, 1)))

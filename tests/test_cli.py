@@ -265,6 +265,19 @@ class TestTomoCommand:
         with pytest.raises(ValidationError, match="DR"):
             cmd_tomo(config, manifest=str(manifest_path))
 
+    def test_stream_with_a_channel_field_exits_1(self, tmp_path, capsys):
+        # version 1 files held (channel u8, timestamp u64) records
+        cfg_path = write_config(tmp_path, n_pulses=2000)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+        stream = tmp_path / "sim" / "streams" / "HH_xx.ctts"
+        stream.write_bytes(b"CTTS" + (1).to_bytes(4, "little") + (1).to_bytes(8, "little")
+                           + bytes(9))
+        out = tmp_path / "tomo"
+        assert main(["tomo", "--config", str(cfg_path), "--manifest",
+                     str(tmp_path / "sim" / "manifest.json"), "--out", str(out)]) == 1
+        assert f"{stream}: unsupported version 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_a_validation_error(self, tmp_path):
         config = load_config(write_config(tmp_path, n_pulses=2000))
         with pytest.raises(ValidationError, match="cannot read .*missing.json"):

@@ -74,8 +74,8 @@ class TestCrossCorrelate:
     def test_streams_match_unsorted_arrays(self, rng):
         ta = rng.integers(0, 100_000, 300)
         tb = rng.integers(0, 100_000, 200)
-        sa = TimestampStream(np.zeros(len(ta)), ta)
-        sb = TimestampStream(np.ones(len(tb)), tb)
+        sa = TimestampStream(ta)
+        sb = TimestampStream(tb)
         from_streams = cross_correlate(sa, sb, 250.0, 5000.0)
         assert np.array_equal(from_streams.counts,
                               brute_force_histogram(ta, tb, 250.0, 5000.0))
@@ -252,7 +252,7 @@ class TestChunkedCorrelate:
 
         def correlate_and_drop():
             blockers_queued.wait(30)
-            stream = TimestampStream(np.zeros(40), np.arange(40))
+            stream = TimestampStream(np.arange(40))
             ref = weakref.ref(stream.timestamps_ps)
             assert cross_correlate(stream, stream, 1.0, 5.0).total() > 0
             del stream

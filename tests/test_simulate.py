@@ -256,19 +256,19 @@ def test_projection_run_output_is_pinned(config, pair, n_pulses, digest):
 
 def test_projection_run_drops_events_outside_the_run(monkeypatch):
     # Jitter of eight periods pushes photons of the first and last pulses
-    # outside the run on both channels. The spy redoes each channel's jitter
+    # outside the run on both detectors. The spy redoes each detector's jitter
     # on a copy of the generator to count them. The digest was recorded when
     # the simulator dropped those events before sorting.
     config = EmitterConfig(tau_x=1e5, jitter_sigma=1e5)
     finalize = simulate._finalize
     outside = []
 
-    def spy(times, origins_code, channel, duration_ps, config, rng):
+    def spy(times, origins_code, duration_ps, config, rng):
         twin = np.random.Generator(np.random.PCG64())
         twin.bit_generator.state = rng.bit_generator.state
         stamps = np.rint(times + twin.normal(0.0, config.jitter_sigma, len(times)))
         outside.append((int(np.sum(stamps < 0)), int(np.sum(stamps >= duration_ps))))
-        return finalize(times, origins_code, channel, duration_ps, config, rng)
+        return finalize(times, origins_code, duration_ps, config, rng)
 
     monkeypatch.setattr(simulate, "_finalize", spy)
     xx, x = simulate_projection_run(config, "VV", 2000, seed=11)
