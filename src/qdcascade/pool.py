@@ -32,7 +32,7 @@ def _worker_count():
 
 
 #: Threads that work on one call at once. At 1M pulses one pipeline task
-#: peaks at 26-27 MB (simulation and export) or about 13 MB (stream
+#: peaks at about 23 MB (simulation and export) or about 13 MB (stream
 #: import and correlation).
 WORKERS = _worker_count()
 

@@ -34,8 +34,12 @@ A projection run holds two float arrays of one entry per excited pulse,
 the XX and X delays, and one-byte codes per pulse: the excitation draw,
 the joint outcome and the two detection flags. Uniforms and pulse start
 times are drawn or formed ``_BLOCK`` pulses at a time. The delays turn in
-place into the emission times, and each detector's float times are freed
-as soon as they are rounded to stamps.
+place into the emission times. Each detector's detected times are
+compacted ``_BLOCK`` pulses at a time into one array, and freed as soon as
+they are rounded to stamps. The joint outcomes are decided from float32
+trig where a proven error margin allows and from float64 trig elsewhere;
+either way they are those of the float64 rule (see ``_joint_outcomes``),
+so the bytes do not depend on numpy's float32 kernels.
 """
 
 from __future__ import annotations
@@ -204,18 +208,87 @@ def _finalize(times, origins_code, duration_ps, config, rng):
     return _pack(stamps, origin, duration_ps)
 
 
+def _compact(keep, values):
+    """``values[keep]``, compacted ``_BLOCK`` entries at a time into one
+    output, so that no index array of every kept entry is built."""
+    out = np.empty(np.count_nonzero(keep), dtype=values.dtype)
+    done = 0
+    for lo in range(0, len(values), _BLOCK):
+        kept = np.flatnonzero(keep[lo:lo + _BLOCK])
+        # the indices are in range; with out=, mode "raise" would take a copy first
+        np.take(values[lo:lo + _BLOCK], kept, out=out[done:done + len(kept)], mode="clip")
+        done += len(kept)
+    return out
+
+
+def _running_sums(rows, phi, cum, term):
+    """Fill ``cum`` (4, n) with the running sums over the rows (const, c, s)
+    of const + c cos(phi) + s sin(phi), in float64 whatever the float type of
+    ``phi``; cos and sin are taken only when some row uses them."""
+    cos_phi = np.cos(phi) if any(c for _, c, _ in rows) else None
+    sin_phi = np.sin(phi) if any(s for _, _, s in rows) else None
+    for k, (const, c, s) in enumerate(rows):
+        row = cum[k]
+        row.fill(const)
+        if c:
+            row += np.multiply(cos_phi, c, out=term, dtype=np.float64)
+        if s:
+            row += np.multiply(sin_phi, s, out=term, dtype=np.float64)
+        if k:
+            row += cum[k - 1]
+    return cum
+
+
+def _outcome(us, cum):
+    """The outcome of each pulse: how many of the first three running sums
+    ``us`` (the pulse's uniform times the total) reaches."""
+    return (us >= cum[0]).astype(np.int8) + (us >= cum[1]) + (us >= cum[2])
+
+
 def _joint_outcomes(a, b, fss, d_x, rng):
     """Joint projection outcome of each pulse, as int8 in 0-3.
 
     The outcomes index (ab, ab', a'b, a'b'); ``d_x`` holds each pulse's
-    XX-to-X delay. Each pulse takes one uniform from ``rng``, in pulse order.
+    XX-to-X delay. Each pulse takes one uniform u from ``rng``, in pulse
+    order. Its outcome is the number of k in 0-2 with u*S >= cum_k, where
+    cum_k are the running sums of the joint distribution at the pulse's phase
+    phi = fss*d_x/hbar and S = cum_3 their total, all in float64 from float64
+    ``np.cos``/``np.sin`` of the float64 phi. That exact rule alone sets
+    the output.
+
+    A block of oscillating pulses first decides each outcome from float32
+    cos and sin of float32(phi), a filtered exact predicate in the manner
+    of Shewchuk (Discrete Comput. Geom. 18, 305 (1997)). Its error bound:
+
+    * rounding phi to float32 moves it, and so each trig value, by at most
+      |phi| 2^-24;
+    * numpy's float32 kernels err by at most 1.2 2^-24 at the same argument
+      (numpy 2.4, with its AVX-512 and AVX2 kernels and with neither), the
+      float64 ones by about 2^-53;
+    * each running sum, and u*S (u < 1), moves by at most
+      A = sum_k (|c_k| + |s_k|) times the trig error, so d_k = u*S - cum_k
+      moves by at most 2 A (|phi| + 1.3) 2^-24.
+
+    The margin eps = 2 A (max|phi| 2^-22 + 2^-20) + 1e-12 S_max over the
+    block, with S_max = sum_k (const_k + |c_k| + |s_k|) >= S and its last
+    term for float64 rounding, keeps at least 4x slack on each term. A pulse
+    with |d_k| >= eps for every k has the signs of the exact d_k, and so the
+    exact outcome (a NaN fails the test). Every other pulse is recomputed by
+    the exact rule on its own float64 phi. Every step is elementwise, so a
+    subset gets the same bits as the whole block: the float32 kernel only
+    chooses which pulses are recomputed, and the bytes do not depend on it.
+    A block with eps >= S_max / 32 would leave a large share of its pulses
+    undecided, each boundary catching a band 2 eps wide, and the filter
+    would cost more than it saves (measured on DA at fss 1e4 ueV). One with
+    max|phi| >= 2^22 has a float32 phase off by a radian or more, and when A
+    is tiny its phi may lie beyond float32 range. Either block takes the
+    exact rule whole, with no float32 cast.
     """
-    # Running sums of the joint outcome distribution at each delay, built
-    # in place. With phi = fss*d_x/hbar and z = conj(c_hh)*c_vv,
+    # With phi = fss*d_x/hbar and z = conj(c_hh)*c_vv,
     # |c_hh + c_vv e^{i phi}|^2 is
     # |c_hh|^2 + |c_vv|^2 + 2 Re(z) cos(phi) - 2 Im(z) sin(phi).
     # For the H/V/D/A/R/L projections at most one of the two oscillating
-    # terms is nonzero, so cos and sin are computed only when some row uses them.
+    # terms is nonzero.
     a_perp, b_perp = _orthogonal_vector(a), _orthogonal_vector(b)
     rows = []
     for va, vb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
@@ -223,39 +296,45 @@ def _joint_outcomes(a, b, fss, d_x, rng):
         c_vv = np.conj(va[1] * vb[1]) / np.sqrt(2.0)
         z = np.conj(c_hh) * c_vv
         rows.append((abs(c_hh) ** 2 + abs(c_vv) ** 2, 2.0 * z.real, -2.0 * z.imag))
-    use_cos = any(c for _, c, _ in rows)
-    use_sin = any(s for _, _, s in rows)
-    # Every step is elementwise, so working through the pulses in blocks
-    # gives the same bits as whole arrays while holding (4, _BLOCK) sums.
-    # With no oscillating term (H or V in either arm) the running sums are
-    # scalars, made by the same additions as the rows below.
+    amp = sum(abs(c) + abs(s) for _, c, s in rows)
+    s_max = sum(const for const, _, _ in rows) + amp
+    # Working through the pulses in blocks gives the same bits as whole
+    # arrays while holding (4, _BLOCK) sums. With no oscillating term (H or V
+    # in either arm) the running sums are scalars, made by the same additions
+    # as in _running_sums.
     m = len(d_x)
     outcome = np.empty(m, dtype=np.int8)
     u_buf = np.empty(min(m, _BLOCK))
-    oscillates = use_cos or use_sin
-    if oscillates:
-        cum_buf, term_buf = np.empty((4, min(m, _BLOCK))), np.empty(min(m, _BLOCK))
+    if amp:
+        cum_buf = np.empty((4, min(m, _BLOCK)))
+        term_buf, us_buf = np.empty((2, min(m, _BLOCK)))
     else:
         cum = list(itertools.accumulate(const for const, _, _ in rows))
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        if oscillates:
-            cum, term = cum_buf[:, :hi - lo], term_buf[:hi - lo]
-            phi = fss * d_x[lo:hi] / HBAR_UEV_PS
-            cos_phi = np.cos(phi) if use_cos else None
-            sin_phi = np.sin(phi) if use_sin else None
-            for k, (const, c, s) in enumerate(rows):
-                row = cum[k]
-                row.fill(const)
-                if c:
-                    row += np.multiply(cos_phi, c, out=term)
-                if s:
-                    row += np.multiply(sin_phi, s, out=term)
-                if k:
-                    row += cum[k - 1]
-        u_blk = rng.random(out=u_buf[:hi - lo])
-        u_blk *= cum[-1]
-        outcome[lo:hi] = (u_blk >= cum[0]).astype(np.int8) + (u_blk >= cum[1]) + (u_blk >= cum[2])
+        n = hi - lo
+        u = rng.random(out=u_buf[:n])
+        if not amp:
+            u *= cum[-1]
+            outcome[lo:hi] = _outcome(u, cum)
+            continue
+        phi = fss * d_x[lo:hi] / HBAR_UEV_PS
+        phi_max = phi.max()  # phi >= 0
+        eps = 2.0 * amp * (phi_max * 2.0 ** -22 + 2.0 ** -20) + 1e-12 * s_max
+        redo = slice(None)
+        if phi_max < 2.0 ** 22 and eps < s_max / 32:
+            cum = _running_sums(rows, phi.astype(np.float32), cum_buf[:, :n], term_buf[:n])
+            us = np.multiply(u, cum[3], out=us_buf[:n])
+            outcome[lo:hi] = _outcome(us, cum)
+            decided = np.ones(n, dtype=bool)
+            for row in cum[:3]:
+                d = np.subtract(us, row, out=row)
+                decided &= np.abs(d, out=d) >= eps
+            redo = np.flatnonzero(~decided)
+            phi, u = phi[redo], u[redo]
+        cum = _running_sums(rows, phi, cum_buf[:, :len(u)], term_buf[:len(u)])
+        u *= cum[3]
+        outcome[lo:hi][redo] = _outcome(u, cum)
     return outcome
 
 
@@ -295,10 +374,10 @@ def simulate_projection_run(config: EmitterConfig, pair, n_pulses, seed):
         d_xx[done:done + len(start)] += start
         done += len(start)
     del excited
-    times = [np.compress(xx_detected, d_xx)]
+    times = [_compact(xx_detected, d_xx)]
     d_x += d_xx
     del d_xx
-    times.append(np.compress(x_detected, d_x))
+    times.append(_compact(x_detected, d_x))
     del d_x, xx_detected, x_detected
     # popped, so _finalize holds each detector's float times alone
     xx_stream = _finalize(times.pop(0), _ORIGIN_CODE["XX"], duration, config, rng)

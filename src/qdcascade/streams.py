@@ -61,13 +61,16 @@ class TimestampStream:
             raise ValidationError(
                 f"timestamps must be a 1-D array, got shape {self.timestamps_ps.shape}")
         if self.origins is not None:
-            self.origins = np.asarray(self.origins, dtype=np.uint8)
-            if self.origins.shape != self.timestamps_ps.shape:
+            # checked before the cast to u8, which would wrap 257 to 1 and cut 1.5 to 1
+            codes, top = np.asarray(self.origins), len(_ORIGIN_CODE)
+            if codes.shape != self.timestamps_ps.shape:
                 raise ValidationError("origins must match event count")
-            codes, top = self.origins, len(_ORIGIN_CODE)
-            if len(codes) and (codes.min() < 1 or codes.max() > top):
-                bad = int(np.flatnonzero((codes < 1) | (codes > top))[0])
-                raise ValidationError(f"bad origin code {codes[bad]} (record {bad})")
+            if len(codes) and (codes.dtype.kind not in "iu" or codes.min() < 1
+                               or codes.max() > top):
+                bad = np.flatnonzero(~np.isin(codes, np.arange(1, top + 1)))
+                if len(bad):
+                    raise ValidationError(f"bad origin code {codes[bad[0]]} (record {bad[0]})")
+            self.origins = codes.astype(np.uint8, copy=False)
         ts = self.timestamps_ps
         # sorted stamps have their minimum first: no full scan
         if len(ts) and (ts[0] if self._sorted else ts.min()) < 0:

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +256,99 @@ def test_projection_run_output_is_pinned(config, pair, n_pulses, digest):
     assert h.hexdigest() == digest
 
 
+def reference_joint_outcomes(a, b, fss, d_x, rng):
+    """The all-float64 outcome loop that _joint_outcomes must match bit for
+    bit: float64 cos and sin of every pulse's phase, then running sums."""
+    a_perp, b_perp = simulate._orthogonal_vector(a), simulate._orthogonal_vector(b)
+    rows = []
+    for va, vb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
+        c_hh = np.conj(va[0] * vb[0]) / np.sqrt(2.0)
+        c_vv = np.conj(va[1] * vb[1]) / np.sqrt(2.0)
+        z = np.conj(c_hh) * c_vv
+        rows.append((abs(c_hh) ** 2 + abs(c_vv) ** 2, 2.0 * z.real, -2.0 * z.imag))
+    use_cos = any(c for _, c, _ in rows)
+    use_sin = any(s for _, _, s in rows)
+    outcome = np.empty(len(d_x), dtype=np.int8)
+    for lo in range(0, len(d_x), simulate._BLOCK):
+        hi = min(lo + simulate._BLOCK, len(d_x))
+        if use_cos or use_sin:
+            phi = fss * d_x[lo:hi] / HBAR_UEV_PS
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            cum, term = np.empty((4, hi - lo)), np.empty(hi - lo)
+            for k, (const, c, s) in enumerate(rows):
+                cum[k].fill(const)
+                if c:
+                    cum[k] += np.multiply(cos_phi, c, out=term)
+                if s:
+                    cum[k] += np.multiply(sin_phi, s, out=term)
+                if k:
+                    cum[k] += cum[k - 1]
+        else:
+            cum = list(itertools.accumulate(const for const, _, _ in rows))
+        u = rng.random(hi - lo) * cum[-1]
+        outcome[lo:hi] = (u >= cum[0]).astype(np.int8) + (u >= cum[1]) + (u >= cum[2])
+    return outcome
+
+
+def _outcomes_and_trig_dtypes(monkeypatch, pair, fss, n):
+    """Outcomes of _joint_outcomes and of the reference for ``n`` pulses,
+    with the number of pulses each float type of phase reached cos/sin with."""
+    a, b = simulate._resolve_pair(pair)
+    d_x = np.random.default_rng(n).exponential(DEFAULTS.tau_x, n)
+    trig_pulses = {np.float32: 0, np.float64: 0}
+    running_sums = simulate._running_sums
+
+    def spy(rows, phi, cum, term):
+        trig_pulses[phi.dtype.type] += len(phi)
+        return running_sums(rows, phi, cum, term)
+
+    monkeypatch.setattr(simulate, "_running_sums", spy)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = simulate._joint_outcomes(a, b, fss, d_x, rng)
+        want = reference_joint_outcomes(a, b, fss, d_x, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got, want, trig_pulses
+
+
+ELLIPTICAL_PAIRS = [ELLIPTICAL, (np.array([2.0, 1j]), np.array([0.5, 3.0 - 1.0j]))]
+
+
+@pytest.mark.parametrize("fss", [0.3, 4.65, 60.0, 1e4])
+def test_joint_outcomes_match_the_float64_loop(monkeypatch, fss):
+    # float32 trig only picks the pulses that get float64 trig: every
+    # outcome is the float64 loop's, for every label, an elliptical and an
+    # unnormalized Jones pair, at lengths around the block size
+    labels = ["".join(p) for p in itertools.product("HVDARL", repeat=2)]
+    for pair in labels + ELLIPTICAL_PAIRS:
+        for n in (1, simulate._BLOCK - 1, simulate._BLOCK, 2 * simulate._BLOCK + 3):
+            got, want, _ = _outcomes_and_trig_dtypes(monkeypatch, pair, fss, n)
+            assert np.array_equal(got, want), (pair, n)
+
+
+@pytest.mark.parametrize("pair", ["DA", "RL", "LD", ELLIPTICAL])
+def test_joint_outcomes_take_float64_trig_only_near_a_boundary(monkeypatch, pair):
+    n = 2 * simulate._BLOCK + 3
+    _, _, trig_pulses = _outcomes_and_trig_dtypes(monkeypatch, pair, DEFAULTS.fss, n)
+    assert trig_pulses[np.float32] == n
+    assert trig_pulses[np.float64] < 1e-3 * n
+
+
+@pytest.mark.parametrize("pair,fss", [
+    pytest.param("DA", 1e5, id="margin-too-wide"),
+    pytest.param(ELLIPTICAL, 1e40, id="phase-beyond-float32"),
+    # oscillating terms near 1e-300, so the margin alone would allow float32
+    pytest.param(([1.0, 1e-150], [1.0, 1e-150]), 1e40, id="tiny-terms-beyond-float32"),
+])
+def test_joint_outcomes_of_huge_phases_take_float64_whole(monkeypatch, pair, fss):
+    # no float32 cast, so no overflow or invalid-value warning either
+    n = simulate._BLOCK + 5
+    got, want, trig_pulses = _outcomes_and_trig_dtypes(monkeypatch, pair, fss, n)
+    assert np.array_equal(got, want)
+    assert trig_pulses == {np.float32: 0, np.float64: n}
+
+
 def test_projection_run_drops_events_outside_the_run(monkeypatch):
     # Jitter of eight periods pushes photons of the first and last pulses
     # outside the run on both detectors. The spy redoes each detector's jitter
@@ -304,9 +399,11 @@ def test_non_integer_n_pulses_is_rejected(run, n_pulses):
 def test_projection_run_peak_memory():
     # the closed loop runs two of these at once, so their peak sets its
     # memory. A run holds its two delay arrays and one-byte codes per pulse,
-    # about 25 MiB at 1M pulses. Holding the pulse times, the uniforms and
-    # both channels' float times as well peaked at 35.5 MiB (DEFAULTS, DA)
-    # and 29.2 MiB (LOSSY, DA); whole-array outcome sums near 130 MB.
+    # about 21.6 MiB at 1M pulses. An index array of every detected pulse
+    # from compacting each detector's times whole took 24.9 MiB; holding the
+    # pulse times, the uniforms and both channels' float times as well
+    # peaked at 35.5 MiB (DEFAULTS, DA) and 29.2 MiB (LOSSY, DA);
+    # whole-array outcome sums near 130 MB.
     for config, pair in ((DEFAULTS, "DA"), (LOSSY, "DA"), (DEFAULTS, ELLIPTICAL)):
         tracemalloc.start()
         try:
@@ -314,7 +411,7 @@ def test_projection_run_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 28 * 2 ** 20, (config, pair)
+        assert peak < 24 * 2 ** 20, (config, pair)
 
 
 @pytest.mark.parametrize("pair,message", [

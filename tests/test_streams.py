@@ -53,9 +53,12 @@ class TestStreamType:
         with pytest.raises(ValidationError, match="1-D"):
             TimestampStream(np.array(stamps), origins=origins)
 
-    @pytest.mark.parametrize("codes,record", [([1, 4, 2], 1), ([0, 1], 0), ([3, 3, 255], 2)])
+    @pytest.mark.parametrize("codes,record", [([1, 4, 2], 1), ([0, 1], 0), ([3, 3, 255], 2),
+                                              ([257, 258], 0), ([-255, 2], 0), ([1.5, 2.0], 0),
+                                              ([2.0, 3, 1.5], 2)])
     def test_unknown_origin_code_names_record(self, codes, record):
-        # export and import both know only the codes of _ORIGIN_CODE
+        # export and import both know only the codes of _ORIGIN_CODE; codes are
+        # checked before the cast to u8, which would read 257 as 1 and 1.5 as 1
         with pytest.raises(ValidationError, match=f"bad origin code {codes[record]} "
                                                   rf"\(record {record}\)"):
             TimestampStream(np.arange(len(codes)), origins=codes)
