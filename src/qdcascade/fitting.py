@@ -426,9 +426,10 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     Fits E(theta) = y0 + A*sin(harmonic*theta + phase) with the angular
     frequency fixed (harmonic=4 for a rotating half-wave plate, i.e. a
     pi/2 period in plate angle) by linear least squares, and returns
-    (fss, fit) with fss the peak-to-peak amplitude 2A. Angles that do not
-    resolve the harmonic (angles k*pi/4 at harmonic 4, where the sine
-    term is ~0) raise ValidationError.
+    (fss, fit) with fss the peak-to-peak amplitude 2A. The std errors of
+    (y0, A, phase) come from ``_errors`` on the curve's Jacobian in those
+    three. Angles that do not resolve the harmonic (angles k*pi/4 at
+    harmonic 4, where the sine term is ~0) raise ValidationError.
     """
     angles = np.asarray(angles, dtype=float)
     energies = np.asarray(peak_energies, dtype=float)
@@ -445,23 +446,17 @@ def fss_from_peak_positions(angles, peak_energies, harmonic=4):
     design = _sinusoid_design(harmonic * angles)
     if np.linalg.matrix_rank(design) < 3:
         raise ValidationError(f"these angles do not resolve harmonic {harmonic}")
-    (y0, a, b), design, resid = _linear_fit(design, energies, np.ones_like(angles))
-    red_chi2, errs, cov = _errors(design, resid)
-    amp = float(np.hypot(a, b))
-    phase = float(np.arctan2(b, a))
-    if amp > 0:
-        var_amp = (
-            a * a * cov[1, 1] + b * b * cov[2, 2] + 2.0 * a * b * cov[1, 2]
-        ) / (amp * amp)
-    else:
-        var_amp = cov[1, 1] + cov[2, 2]
-    amp_err = float(np.sqrt(max(var_amp, 0.0)))
+    (y0, a, b), _, resid = _linear_fit(design, energies, np.ones_like(angles))
+    amp, phase = float(np.hypot(a, b)), float(np.arctan2(b, a))
+    # the curve's Jacobian in (y0, A, phi0): the sinusoid's at P = 2*pi/harmonic
+    jac = _sinusoid_jac(angles, (y0, amp, 2.0 * np.pi / harmonic, phase))[:, [0, 1, 3]]
+    red_chi2, errs, _ = _errors(jac, resid)
+    y0_err, amp_err, phase_err = map(float, errs)
     fss = 2.0 * amp
     fit = FitResult(
         "fss_sinusoid",
         {"y0": float(y0), "amplitude": amp, "phase": phase, "fss": fss},
-        {"y0": float(errs[0]), "amplitude": amp_err, "phase": 0.0,
-         "fss": 2.0 * amp_err},
+        {"y0": y0_err, "amplitude": amp_err, "phase": phase_err, "fss": 2.0 * amp_err},
         red_chi2,
         True,
     )

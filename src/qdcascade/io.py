@@ -1,6 +1,8 @@
 """CSV and JSON readers/writers for analysis inputs and outputs: ``read_json``
 reads every JSON file and ``_read_rows`` every CSV but a stream, naming
-the path of a file that is missing, not UTF-8 or malformed."""
+the path of a file that is missing, not UTF-8 or malformed. A row of a
+table with a fixed header has exactly the header's fields, and a basis
+label is read as written, so one padded with spaces names no pair."""
 
 from __future__ import annotations
 
@@ -95,13 +97,12 @@ def read_xy_csv(path):
 
 
 def _projection_row(fields):
-    counts = float(fields[1])
-    weight = float(fields[2]) if len(fields) > 2 else 1.0
-    return ProjectionRecord(fields[0].strip(), counts, weight)
+    basis, counts, weight = fields
+    return ProjectionRecord(basis, float(counts), float(weight))
 
 
 def read_projection_csv(path) -> TomographyInput:
-    """Read `basis,counts,weight` rows into a TomographyInput (weight defaults to 1)."""
+    """Read `basis,counts,weight` rows into a TomographyInput."""
     columns = ("basis", "counts", "weight")
     return TomographyInput(tuple(_read_rows(path, columns, _projection_row)))
 

@@ -174,10 +174,10 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
         fid, conc = metrics(rho)
         fid_std = conc_std = None
         if tomo_cfg.bootstrap_samples >= 2:
-            boot_seed = (config.simulation.seed or 0) + 7000 + k
             fid_boot, conc_boot = bootstrap_metrics(
                 b.input, tomo_cfg.bootstrap_samples,
-                lambda resampled: metrics(correction.apply(resampled)), seed=boot_seed)
+                lambda resampled: metrics(correction.apply(resampled)),
+                seed=_child_seed(config.simulation.seed, 7000 + k))
             fid_std, conc_std = fid_boot.std, conc_boot.std
         rel = f"bins/bin_{k:04d}.json"
         record = {  # the keys that the bin file and the report bin share
@@ -206,10 +206,7 @@ def cmd_tomo(config: RunConfig, manifest=None, counts_csv=None, binned_csv=None,
 
 def build_report(meta):
     """Assemble the report dict from the per-run metadata (pure function)."""
-    bins = sorted(
-        meta["bins"],
-        key=lambda b: (b["bin_start_ps"] is not None, b["bin_start_ps"] or 0.0),
-    )
+    bins = sorted(meta["bins"], key=lambda b: b["bin_start_ps"])
     report = {
         "toolkit_version": meta["toolkit_version"],
         "config": meta["config"],
@@ -221,7 +218,7 @@ def build_report(meta):
         "fits": {"fidelity_oscillation": None},
         "outputs": sorted(
             [b["rho_file"] for b in bins]
-            + list(meta.get("extra_outputs", []))
+            + meta["extra_outputs"]
             + ["metrics_vs_time.csv", "report.json", "tomo_meta.json"]
         ),
     }
@@ -238,10 +235,9 @@ def build_report(meta):
             "std": best_c["concurrence_std"],
             "bin_start_ps": best_c["bin_start_ps"],
         }
-    timed = [b for b in bins if b["bin_start_ps"] is not None]
-    if len(timed) >= 8:
-        x = np.array([b["bin_start_ps"] + 0.5 * b["bin_width_ps"] for b in timed])
-        y = np.array([b["fidelity"] for b in timed])
+    if len(bins) >= 8:
+        x = np.array([b["bin_start_ps"] + 0.5 * b["bin_width_ps"] for b in bins])
+        y = np.array([b["fidelity"] for b in bins])
         try:
             fit = fit_model("sinusoid", x, y)
             report["fits"]["fidelity_oscillation"] = asdict(fit)
@@ -277,21 +273,20 @@ def _csv_cell(value):
 
 
 def cmd_report(run_dir):
-    """Regenerate report.json from a previous tomo run's metadata."""
+    """Regenerate report.json from a tomo run's metadata, which must hold
+    ``extra_outputs`` and a finite start and width for every bin."""
     meta_path = os.path.join(run_dir, "tomo_meta.json")
     meta = qio.read_json(meta_path)
     if not (isinstance(meta, dict) and {"toolkit_version", "config"} <= meta.keys()
             and _is_records(meta.get("bins"), _METRICS_COLUMNS, strings=("rho_file",))
             and isinstance(meta.get("skipped_bins"), list)
-            and isinstance(extra := meta.get("extra_outputs", []), list)
+            and isinstance(extra := meta.get("extra_outputs"), list)
             and all(isinstance(name, str) for name in extra)):
         raise ValidationError(f"{meta_path}: expected an object with toolkit_version, config, "
                               "a 'bins' list of bin objects with a string rho_file, a "
-                              "'skipped_bins' list and any 'extra_outputs' as strings")
+                              "'skipped_bins' list and an 'extra_outputs' list of strings")
     for i, b in enumerate(meta["bins"]):
-        # a single-set bin written before bins carried a time bin has a null start and width
-        keys = ("fidelity", "concurrence") + (
-            () if b["bin_start_ps"] is None else ("bin_start_ps", "bin_width_ps"))
-        require_finite(**{f"{meta_path}: bins[{i}].{key}": b[key] for key in keys})
+        require_finite(**{f"{meta_path}: bins[{i}].{key}": b[key] for key in
+                          ("bin_start_ps", "bin_width_ps", "fidelity", "concurrence")})
     return _write_report(meta, run_dir)
 

@@ -96,10 +96,11 @@ def rng():
     return np.random.default_rng(20260811)
 
 
-def run_python(code, *args, timeout=120):
-    """Run ``code`` in a fresh interpreter that imports this checkout's qdcascade."""
+def run_python(code, *args, timeout=120, env=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's qdcascade,
+    with the variables in ``env`` added to this process's environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qdcascade.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=timeout)

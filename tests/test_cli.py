@@ -16,7 +16,7 @@ from qdcascade.cli import main
 from qdcascade.config import RunConfig, apply_overrides, load_config
 from qdcascade.errors import FitError, ParseError, ValidationError
 from qdcascade.io import read_projection_csv, write_histogram_csv
-from qdcascade.pipeline import cmd_report, cmd_simulate, cmd_tomo
+from qdcascade.pipeline import cmd_simulate, cmd_tomo
 from qdcascade.polarization import tomography_bases
 from qdcascade.simulate import EmitterConfig, simulate_autocorrelation_run
 from qdcascade.tomography import TomographyInput, expected_probability
@@ -48,11 +48,10 @@ def binned_histograms(n_bins=5):
     return hists
 
 
-#: tomo_meta.json of a single-set (--counts) run as written before single-set
-#: bins carried a time bin: bin_start_ps and bin_width_ps are null.
-NULL_BIN_META = {
+#: tomo_meta.json of a single-set (--counts) run: one bin over [0, max_delay_ps).
+SINGLE_BIN_META = {
     "bins": [{
-        "bin_start_ps": None, "bin_width_ps": None, "total_counts": 209279.0,
+        "bin_start_ps": 0.0, "bin_width_ps": 4000.0, "total_counts": 209279.0,
         "fidelity": 0.4000863078743362, "fidelity_std": 0.0009080526275768114,
         "concurrence": 0.9999875026786891, "concurrence_std": 0.0007662941355315991,
         "converged": True, "iterations": 79, "rho_file": "bins/bin_0000.json",
@@ -318,6 +317,23 @@ class TestTomoCommand:
                       out_dir=str(tmp_path / "t2"))
         assert r1["bins"] == r2["bins"]
 
+    def test_bootstrap_draws_differ_across_seeds(self, tmp_path):
+        # bin k + 1 at seed s and bin k at seed s + 1 once drew the same resamples
+        hists = {label: Histogram(100.0, 0.0, np.repeat(h.counts, 2))
+                 for label, h in binned_histograms(1).items()}
+        csv = tmp_path / "binned.csv"
+        write_tomo_csv(csv, hists)
+        bins = {}
+        for seed in (5, 6):
+            cfg_path = write_config(tmp_path, n_pulses=0, seed=seed, bootstrap_samples=3)
+            out = tmp_path / f"seed{seed}"
+            assert main(["tomo", "--config", str(cfg_path), "--binned", str(csv),
+                         "--out", str(out)]) == 0
+            bins[seed] = json.loads((out / "report.json").read_text())["bins"]
+        assert bins[5][1]["fidelity"] == bins[6][0]["fidelity"]  # the same counts
+        assert ((bins[5][1]["fidelity_std"], bins[5][1]["concurrence_std"])
+                != (bins[6][0]["fidelity_std"], bins[6][0]["concurrence_std"]))
+
     def test_report_regeneration_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, n_pulses=20_000)
         config = load_config(cfg_path)
@@ -327,18 +343,22 @@ class TestTomoCommand:
         assert main(["report", "--dir", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
-    def test_report_rebuilds_null_bin_meta(self, tmp_path):
-        (tmp_path / "tomo_meta.json").write_text(json.dumps(NULL_BIN_META))
-        report = cmd_report(str(tmp_path))
-        assert report["max_fidelity"]["bin_start_ps"] is None
-        # digests of the files this meta rebuilt into before the change
-        digests = {
-            "report.json": "23baa77ca47d4f42d6242635ba3ec6268cb807c4421faf0172d3386aa0c946f5",
-            "metrics_vs_time.csv":
-                "58feff6bb49315a1e349dc2062e10a4fda534e9bc1526be98499998671f45a59",
-        }
-        for name, digest in digests.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("case", ["null_bin", "no_extra_outputs"])
+    def test_report_refuses_old_meta(self, tmp_path, capsys, case):
+        # metas written before every bin carried a time bin and every meta its
+        # extra_outputs were once rebuilt; tomo no longer writes either
+        bin_ = {**SINGLE_BIN_META["bins"][0], "bin_start_ps": None, "bin_width_ps": None}
+        meta = {"null_bin": {**SINGLE_BIN_META, "bins": [bin_]},
+                "no_extra_outputs": {k: v for k, v in SINGLE_BIN_META.items()
+                                     if k != "extra_outputs"}}[case]
+        meta_path = tmp_path / "tomo_meta.json"
+        meta_path.write_text(json.dumps(meta))
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: ")
+        assert {"null_bin": "bins[0].bin_start_ps must be a finite number, got None",
+                "no_extra_outputs": "'extra_outputs' list of strings"}[case] in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_requires_exactly_one_source(self, tmp_path):
         cfg_path = write_config(tmp_path, n_pulses=0, seed=None)
@@ -364,8 +384,8 @@ class TestTomoCommand:
         assert report["bins"] == report2["bins"]
 
     def test_oscillation_fit_failure_gives_null(self, monkeypatch):
-        meta = {**NULL_BIN_META, "bins": [
-            {**NULL_BIN_META["bins"][0], "bin_start_ps": 100.0 * k, "bin_width_ps": 100.0}
+        meta = {**SINGLE_BIN_META, "bins": [
+            {**SINGLE_BIN_META["bins"][0], "bin_start_ps": 100.0 * k, "bin_width_ps": 100.0}
             for k in range(8)]}
 
         def failing(*args, **kwargs):
@@ -423,22 +443,22 @@ def file_digests(root):
 #: "bins" hashes every bins/*.json file, in name order.
 PINNED_TOMO_DIGESTS = {
     "both": {
-        "report.json": "6b56c15b740a705dc3458a55613b62e375a1b016df0ad9b2a2383ea85f3141ca",
-        "tomo_meta.json": "2ef13d8b3d409fca585e45d234561cf6086255feb072491035a16aa71f01076f",
-        "metrics_vs_time.csv": "ecfd38d01cca37f8bc13bc3d8c0463e47426c8f1f55c35cc250e12ea43ed04b3",
-        "bins": "3d57ae856dec3310fb3194fcc3500da9c00a91eed65e73285763bf2a95b03343",
+        "report.json": "07573f6dee36f6f37ac1da4902d70def03b437519fc6085911f49403739a97b6",
+        "tomo_meta.json": "c97c64cbcddd0449ebd5b226691101f2824d0059c32a1958bd97bcf0e0329ed9",
+        "metrics_vs_time.csv": "cd1f01da9d84b5d2608f5f07c4e08b1f012b93b85cab0d669c5292eb590af9a5",
+        "bins": "1f6b0db2adfc952359455fa3363e2a47c6e16ca7bb6101b850941b92c82ddaea",
     },
     "xx_only": {
-        "report.json": "b3913f474425ac4b0b98f7808aa0994e0b5fdb41955e0ee9c79301bca139dea0",
-        "tomo_meta.json": "a410b6120163bb024e782ce544a5cfffb8eabeba56ec2f0b80aeff0bd9b1dd4b",
-        "metrics_vs_time.csv": "417fe00a056ee994df2d4d86e38735b2622ff1d92be6307dbf62710180b041df",
-        "bins": "994dbde6fe09125218a47f051f355ffaf838fc308aec52e5433925c7d0ce9dc7",
+        "report.json": "0572332ec34da3732d20a5e085b713881864d630f722daa4cb7b4e7e99c4e147",
+        "tomo_meta.json": "3d928ec7869d8923af64484b34669a94b0e4e9fbfd20f3b230e9f4c564a14f93",
+        "metrics_vs_time.csv": "a2fcc5ea317ba2558cf78ed8034111b05a94d8d2f58ea9ff3d7a003cac4e2bb9",
+        "bins": "4dbfd3f1e5412be64f1d52a2e8581c2a1abc0f48e7156c5a311e475c0762b34f",
     },
     "x_only": {
-        "report.json": "616c7cf4a974aa393fad82b82cdc2627117c3cb08f6cf75e9eb9deafd63a1d90",
-        "tomo_meta.json": "d4b5e3336f6c1a4043468889e0e04d4ae5047bec79227b75801a0e91ea0f2b92",
-        "metrics_vs_time.csv": "c9cab9ba171697ac5194fccd42769f9bac46b14b387cfc3c130a353aeebfeca3",
-        "bins": "7bde02664cb6f946baed505c5f3fac5f09f7e0c4df9f9801469aaa069fbe62ad",
+        "report.json": "fdc502522dd5eb1b986d0622404a0d1136c0d34176e4d6d235a8fb52f766ee5d",
+        "tomo_meta.json": "a5b2fa4902de0cad4ff5faa75e539c67a23b8374a6486dea68e993a1992489eb",
+        "metrics_vs_time.csv": "825da92d913f0cae64c657533ca7c68a2eafecc939eb9104a853ae2e9c7f302a",
+        "bins": "b64a5f0bed9e1cf8767d0c9c36f021f0fbb0dbc8a33423c8a6e24d72b65a6244",
     },
 }
 
@@ -751,9 +771,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("fidelity", "high"), ("concurrence", None),
                                            ("bin_start_ps", "0"), ("bin_width_ps", None)])
     def test_non_numeric_meta_bin_value_is_1(self, tmp_path, capsys, key, value):
-        bin_ = {**NULL_BIN_META["bins"][0], "bin_start_ps": 0.0, "bin_width_ps": 100.0}
+        bin_ = SINGLE_BIN_META["bins"][0]
         meta_path = tmp_path / "tomo_meta.json"
-        meta_path.write_text(json.dumps({**NULL_BIN_META, "bins": [{**bin_, key: value}]}))
+        meta_path.write_text(json.dumps({**SINGLE_BIN_META, "bins": [{**bin_, key: value}]}))
         assert main(["report", "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {meta_path}: bins[0].{key} must be a finite number")

@@ -179,6 +179,24 @@ class TestFssFromPeaks:
         assert fit.params["fss"] == fss
         assert fit.std_errors["fss"] > 0
 
+    def test_errors_follow_the_one_rule(self, rng):
+        # the phase error was once reported as exactly 0
+        angles = np.deg2rad(np.arange(0, 360, 5))
+        energies = self._trace(4.6, 0.4, angles, rng, noise=0.05)
+        _, fit = fss_from_peak_positions(angles, energies)
+        curve = {"y0": fit.params["y0"], "A": fit.params["amplitude"], "P": np.pi / 2,
+                 "phi0": fit.params["phase"]}
+        jac = _MODELS["sinusoid"][1](angles, np.array(list(curve.values())))
+        red_chi2, errs, _ = _errors(jac[:, [0, 1, 3]],
+                                    energies - evaluate("sinusoid", angles, curve))
+        assert fit.std_errors["phase"] > 0
+        assert [fit.std_errors[k] for k in ("y0", "amplitude", "phase")] == pytest.approx(
+            errs.tolist(), rel=1e-9)
+        assert fit.reduced_chi2 == pytest.approx(red_chi2, rel=1e-9)
+        # whole periods on a uniform grid: sin and cos are orthogonal with equal norms
+        assert fit.std_errors["phase"] == pytest.approx(
+            fit.std_errors["amplitude"] / fit.params["amplitude"], rel=1e-9)
+
     def test_flat_trace_gives_zero(self, rng):
         angles = np.deg2rad(np.arange(0, 360, 5))
         energies = 1000.0 + 0.02 * rng.standard_normal(len(angles))
@@ -487,8 +505,8 @@ PINNED_FITS = {
     "fss": (
         {"y0": 999.9971676661411, "amplitude": 2.3065434600143844, "phase": 0.40290240502573965,
          "fss": 4.613086920028769},
-        {"y0": 0.006059511136519292, "amplitude": 0.008569442830616392, "phase": 0.0,
-         "fss": 0.017138885661232783},
+        {"y0": 0.006059511136519292, "amplitude": 0.008569442830616392,
+         "phase": 0.0037152748167003724, "fss": 0.017138885661232783},
         0.002643672615379295),
 }
 

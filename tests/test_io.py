@@ -71,6 +71,31 @@ class TestProjectionCsv:
             read_projection_csv(path)
         assert err.value.record_index == 14
 
+    @pytest.mark.parametrize("row", ["HV,100", "HV,100,2,oops"], ids=["short", "long"])
+    def test_row_must_have_three_fields(self, tmp_path, row):
+        # these once read as weight 1 and as weight 2 with the extra field dropped
+        path = tmp_path / "counts.csv"
+        write_tomo_csv(path, make_input(density_of(PHI_PLUS), 1e4, 16))
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="values to unpack") as err:
+            read_projection_csv(path)
+        assert err.value.record_index == 2
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_projection_csv, "basis,counts,weight\nHH ,10,1\n"),
+    (read_binned_csv, "basis,bin_start_ps,counts\nHH ,0,1\nHH ,100,2\n"),
+], ids=["projection", "binned"])
+def test_basis_label_is_read_as_written(tmp_path, reader, text):
+    # the projection reader once stripped the label and the binned one did not
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="basis pair must be two letters, got 'HH '") as err:
+        reader(path)
+    assert err.value.record_index == 0
+
 
 class TestBinnedCsv:
     def test_round_trip(self, tmp_path):
